@@ -12,9 +12,7 @@
 #include <ostream>
 #include <utility>
 
-#include "common/logging.hh"
 #include "common/table.hh"
-#include "core/batched_pipeline.hh"
 #include "core/pipeline.hh"
 #include "sim/scenario.hh"
 #include "trace/trace_store.hh"
@@ -43,58 +41,45 @@ ablationTrace(sim::ScenarioContext &ctx, const std::string &workload,
         workload, 1, trace::replayLength(insts, cfg.iqEntries));
 }
 
+/** One (stabilization cycles N, bypass levels) machine. */
+using AblKey = std::pair<uint32_t, uint32_t>;
+
 /**
- * All distinct (N, bypass) machines of both sweeps, run as one
- * lockstep batch over the shared trace: the N-sweep and bypass-sweep
- * tables overlap in two configurations, so the batch holds the 7
- * unique machines and the tables look their rows up by key.
+ * All distinct (N, bypass) machines of both sweeps, each a plain
+ * Pipeline replaying the shared trace, one after another: the N-sweep
+ * and bypass-sweep tables overlap in two configurations, so the 7
+ * unique machines run once and the tables look their rows up by key.
  */
-class AblationBatch
+std::map<AblKey, AblRun>
+runAblationMachines(const trace::TraceBufferPtr &buffer, uint64_t insts)
 {
-  public:
-    AblationBatch(const trace::TraceBufferPtr &buffer,
-                  uint64_t insts)
-        : _batch(buffer)
-    {
-        for (auto [n, bypass] : kPoints) {
-            core::CoreConfig cfg;
-            cfg.bypassLevels = bypass;
-            // Deeper bypass or larger N needs a wider shift register
-            // (latency + bypass + N + 1 must fit, Sec. 4.1.2).
-            cfg.scoreboardBits = 8 + bypass + 2;
-            mechanism::IrawSettings s;
-            s.enabled = n > 0;
-            s.stabilizationCycles = n;
-            _lane[{n, bypass}] = _batch.addLane(
-                cfg, memory::MemoryConfig{}, s, kDramCycles);
-        }
-        _batch.run(insts);
-    }
-
-    AblRun
-    at(uint32_t n, uint32_t bypass) const
-    {
-        auto it = _lane.find({n, bypass});
-        panicIf(it == _lane.end(),
-                "ablation: no lane for N=%u bypass=%u", n, bypass);
-        const core::PipelineStats &st = _batch.stats(it->second);
-        AblRun r;
-        r.ipc = st.ipc();
-        r.delayedFrac =
-            static_cast<double>(st.rfIrawDelayedInsts) /
-            st.committedInsts;
-        return r;
-    }
-
-  private:
-    static constexpr uint32_t kDramCycles = 120;
-    static constexpr std::pair<uint32_t, uint32_t> kPoints[] = {
+    constexpr uint32_t kDramCycles = 120;
+    constexpr AblKey kPoints[] = {
         {0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {1, 2}, {1, 3},
     };
-
-    core::BatchedPipeline _batch;
-    std::map<std::pair<uint32_t, uint32_t>, size_t> _lane;
-};
+    std::map<AblKey, AblRun> runs;
+    for (auto [n, bypass] : kPoints) {
+        core::CoreConfig cfg;
+        cfg.bypassLevels = bypass;
+        // Deeper bypass or larger N needs a wider shift register
+        // (latency + bypass + N + 1 must fit, Sec. 4.1.2).
+        cfg.scoreboardBits = 8 + bypass + 2;
+        trace::ReplayTraceSource src(buffer);
+        memory::MemoryHierarchy mem(memory::MemoryConfig{});
+        mem.setDramLatencyCycles(kDramCycles);
+        core::Pipeline pipe(cfg, mem, src);
+        mechanism::IrawSettings s;
+        s.enabled = n > 0;
+        s.stabilizationCycles = n;
+        pipe.applySettings(s);
+        const core::PipelineStats &st = pipe.run(insts);
+        AblRun &r = runs[{n, bypass}];
+        r.ipc = st.ipc();
+        r.delayedFrac = static_cast<double>(st.rfIrawDelayedInsts) /
+                        st.committedInsts;
+    }
+    return runs;
+}
 
 int
 runDesignSpace(sim::ScenarioContext &ctx)
@@ -105,18 +90,18 @@ runDesignSpace(sim::ScenarioContext &ctx)
     trace::TraceBufferPtr trace =
         ablationTrace(ctx, "spec2006int", insts);
 
-    // One lockstep batch covers both sweeps (7 distinct machines
-    // over the shared trace); the tables read from it.
-    AblationBatch batch(trace, insts);
+    // The 7 distinct machines of both sweeps, over the shared trace.
+    const std::map<AblKey, AblRun> runs =
+        runAblationMachines(trace, insts);
 
     // N sweep: the IPC cost of deeper stabilization windows (other
     // nodes / lower Vcc ranges would need N >= 2).
     TextTable nsweep("Ablation: stabilization cycles N "
                      "(IPC at a fixed clock, spec2006int)");
     nsweep.setHeader({"N", "IPC", "IPC vs N=0", "delayed insts"});
-    AblRun base = batch.at(0, 1);
+    const AblRun &base = runs.at({0, 1});
     for (uint32_t n = 0; n <= 4; ++n) {
-        AblRun r = batch.at(n, 1);
+        const AblRun &r = runs.at({n, 1});
         nsweep.addRow({
             std::to_string(n),
             TextTable::num(r.ipc, 3),
@@ -133,7 +118,7 @@ runDesignSpace(sim::ScenarioContext &ctx)
     TextTable bysweep("Ablation: bypass depth under IRAW (N=1)");
     bysweep.setHeader({"bypass levels", "IPC", "delayed insts"});
     for (uint32_t b = 1; b <= 3; ++b) {
-        AblRun r = batch.at(1, b);
+        const AblRun &r = runs.at({1, b});
         bysweep.addRow({
             std::to_string(b),
             TextTable::num(r.ipc, 3),

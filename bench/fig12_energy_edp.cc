@@ -3,7 +3,7 @@
  * Reproduces Figure 12: energy, delay and energy-delay product of
  * the IRAW machine relative to the baseline at each Vcc level, plus
  * the Sec. 5.3 worked example at 450 mV (absolute leakage/dynamic
- * split).  All machine points run as one parallel batch.
+ * split).  All machine points run as one parallel wave.
  *
  * Paper anchors: relative EDP 0.61 @500 mV, 0.41 @450 mV,
  * 0.33 @400 mV; IRAW energy ~1% worse at 700-575 mV.

@@ -7,13 +7,8 @@
  * trajectory is recorded run over run (CI uploads it as an
  * artifact).  The simulated aggregates it prints are deterministic;
  * only the wall-clock columns vary between hosts.
- *
- * Also times the batched lockstep sweep (Simulator::runBatch) against
- * the same work run serially — the one-trace-pass-drives-B-machines
- * datapoint — and checks the two produce identical cycle counts.
  */
 
-#include <chrono>
 #include <fstream>
 #include <ostream>
 #include <string>
@@ -37,26 +32,10 @@ struct BenchPoint
     mechanism::IrawMode mode;
 };
 
-/** Wall times of the same B-point sweep, serial vs batched. */
-struct BatchedSweepTiming
-{
-    size_t lanes = 0;
-    double serialSeconds = 0.0;
-    double batchedSeconds = 0.0;
-
-    double
-    speedup() const
-    {
-        return batchedSeconds > 0.0 ? serialSeconds / batchedSeconds
-                                    : 0.0;
-    }
-};
-
 void
 writeJson(const std::string &path, uint64_t insts, uint64_t warmup,
           const std::vector<BenchPoint> &points,
           const std::vector<sim::SimResult> &results,
-          const BatchedSweepTiming &batched,
           const sim::ServiceOverheadResult &service)
 {
     std::ofstream os(path);
@@ -99,14 +78,6 @@ writeJson(const std::string &path, uint64_t insts, uint64_t warmup,
            << "\n";
     }
     os << "  ],\n";
-    os << "  \"batched_sweep\": {\n";
-    os << "    \"lanes\": " << batched.lanes << ",\n";
-    os << "    \"wall_s_serial\": " << batched.serialSeconds
-       << ",\n";
-    os << "    \"wall_s_batched\": " << batched.batchedSeconds
-       << ",\n";
-    os << "    \"speedup\": " << batched.speedup() << "\n";
-    os << "  },\n";
     os << "  \"service\": {\n";
     os << "    \"workers\": " << service.workers << ",\n";
     os << "    \"shards\": " << service.shards << ",\n";
@@ -123,8 +94,8 @@ writeJson(const std::string &path, uint64_t insts, uint64_t warmup,
     os << "}\n";
 }
 
-/** The fig11b-shaped wave (8 Vcc points on one trace) the batched
- *  and service probes both time. */
+/** The fig11b-shaped wave (8 Vcc points on one trace) the service
+ *  probe times. */
 std::vector<sim::SimConfig>
 sweepConfigs(uint64_t insts, uint64_t warmup,
              const std::string &tracePath)
@@ -142,47 +113,6 @@ sweepConfigs(uint64_t insts, uint64_t warmup,
         cfgs.push_back(cfg);
     }
     return cfgs;
-}
-
-/**
- * Time one fig11b-shaped wave (B operating points on one trace) run
- * serially and as a lockstep batch, and insist the simulated results
- * agree — the bench doubles as a determinism smoke check.
- */
-BatchedSweepTiming
-timeBatchedSweep(const sim::Simulator &sim, uint64_t insts,
-                 uint64_t warmup, const std::string &tracePath)
-{
-    std::vector<sim::SimConfig> cfgs =
-        sweepConfigs(insts, warmup, tracePath);
-
-    using Clock = std::chrono::steady_clock;
-    // Warm pass populates the trace store so neither timed variant
-    // pays materialization.
-    sim.run(cfgs.front());
-
-    Clock::time_point t0 = Clock::now();
-    std::vector<sim::SimResult> serial;
-    serial.reserve(cfgs.size());
-    for (const sim::SimConfig &cfg : cfgs)
-        serial.push_back(sim.run(cfg));
-    Clock::time_point t1 = Clock::now();
-    std::vector<sim::SimResult> batch = sim.runBatch(cfgs);
-    Clock::time_point t2 = Clock::now();
-
-    for (size_t i = 0; i < cfgs.size(); ++i)
-        panicIf(serial[i].pipeline.cycles !=
-                    batch[i].pipeline.cycles,
-                "batched sweep diverged from serial at lane %zu",
-                i);
-
-    BatchedSweepTiming timing;
-    timing.lanes = cfgs.size();
-    timing.serialSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    timing.batchedSeconds =
-        std::chrono::duration<double>(t2 - t1).count();
-    return timing;
 }
 
 int
@@ -260,18 +190,6 @@ runMicroPipelineTick(sim::ScenarioContext &ctx)
                   "columns vary by host");
     table.print(ctx.out());
 
-    BatchedSweepTiming batched = timeBatchedSweep(
-        sim, insts, warmup, ctx.settings().tracePath);
-    TextTable bt("Batched lockstep sweep (8 Vcc points, one trace)");
-    bt.setHeader({"variant", "wall ms"});
-    bt.addRow({"serial runs",
-               TextTable::num(batched.serialSeconds * 1e3, 1)});
-    bt.addRow({"runBatch",
-               TextTable::num(batched.batchedSeconds * 1e3, 1)});
-    bt.addNote("speedup " + TextTable::num(batched.speedup(), 2) +
-               "x; simulated results verified identical");
-    bt.print(ctx.out());
-
     // Supervisor wall overhead vs the in-process pool on the same
     // wave (ROADMAP item 5: record what fork/spool/merge costs).
     sim::ServiceOverheadResult service = sim::probeServiceOverhead(
@@ -291,8 +209,7 @@ runMicroPipelineTick(sim::ScenarioContext &ctx)
                " spool bytes; sharded results verified identical");
     st.print(ctx.out());
 
-    writeJson(outPath, insts, warmup, points, results, batched,
-              service);
+    writeJson(outPath, insts, warmup, points, results, service);
     return 0;
 }
 

@@ -47,23 +47,30 @@ FillBuffer::full(Cycle cycle)
 }
 
 void
-FillBuffer::allocate(uint64_t lineAddr, Cycle ready)
+FillBuffer::allocate(uint64_t lineAddr, Cycle cycle, Cycle ready)
 {
     panicIf(contains(lineAddr),
             "fill buffer %s: duplicate allocation for line 0x%llx",
             _name.c_str(),
             static_cast<unsigned long long>(lineAddr));
+    // Retirement is lazy (see full()), so a fill that completed by
+    // @p cycle may still hold its entry; it is as free as a clear one.
+    Entry *pick = nullptr;
     for (auto &slot : _slots) {
         if (!slot.valid) {
-            slot.valid = true;
-            slot.lineAddr = lineAddr;
-            slot.ready = ready;
-            ++_allocations;
-            return;
+            pick = &slot;
+            break;
         }
+        if (slot.ready <= cycle && (!pick || slot.ready < pick->ready))
+            pick = &slot;
     }
-    panic("fill buffer %s: allocate() with no free entry",
-          _name.c_str());
+    panicIf(pick == nullptr,
+            "fill buffer %s: allocate() with no free entry",
+            _name.c_str());
+    pick->valid = true;
+    pick->lineAddr = lineAddr;
+    pick->ready = ready;
+    ++_allocations;
 }
 
 Cycle

@@ -39,10 +39,13 @@ class FillBuffer
     bool full(Cycle cycle);
 
     /**
-     * Allocate an entry for @p lineAddr completing at @p ready.
-     * Caller must ensure !full() and !contains().
+     * Allocate an entry at @p cycle for @p lineAddr completing at
+     * @p ready.  Takes a clear entry first, otherwise reuses the
+     * earliest entry whose fill completed by @p cycle -- exactly the
+     * entries full() counts as free.  Caller must ensure
+     * !full(@p cycle) and !contains().
      */
-    void allocate(uint64_t lineAddr, Cycle ready);
+    void allocate(uint64_t lineAddr, Cycle cycle, Cycle ready);
 
     /** Earliest completion among in-flight fills (stall target). */
     Cycle earliestReady() const;

@@ -183,7 +183,9 @@ MemoryHierarchy::serviceMiss(Cache &l0, IrawPortGuard &l0Guard,
             _wcb.push(v.lineAddr, fillReady);
     }
 
-    _fb.allocate(lineAddr, fillReady);
+    // The guards above only delay the allocation, so the FB is still
+    // not full at `when`.
+    _fb.allocate(lineAddr, when, fillReady);
     // The FB's heavy SRAM write is the line data arriving from the
     // next level; the allocation itself only sets a few state bits.
     // (Entries rotate through the whole small buffer, so variation

@@ -2,7 +2,7 @@
  * @file
  * Thread-safe metrics registry: the one home for every host-side
  * counter the simulator exposes (perf.* stage timers, trace_store.*
- * cache stats, runner.* dedup/batch accounting, adapt.* transition
+ * cache stats, runner.* dedup/chunk accounting, adapt.* transition
  * counts, service.* supervisor accounting).
  *
  * Three metric kinds, all lock-free on the update path:

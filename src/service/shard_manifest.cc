@@ -103,7 +103,6 @@ configFingerprint(const sim::SimConfig &cfg)
     h.d(cfg.vcc);
     h.u64(static_cast<uint64_t>(cfg.mode));
     h.u32(cfg.issueThrottle);
-    h.b(cfg.profile);
 
     // Chip identity: the sample is a pure function of (seed, index,
     // params, geometry), and the geometry is already hashed above.
@@ -153,12 +152,12 @@ donePath(const std::string &dir, const Shard &shard)
 }
 
 ShardManifest
-buildManifest(const std::vector<sim::SimConfig> &configs, size_t batch,
-              uint64_t callOrdinal)
+buildManifest(const std::vector<sim::SimConfig> &configs,
+              size_t chunkSize, uint64_t callOrdinal)
 {
     ShardManifest manifest;
     std::vector<std::vector<size_t>> chunks =
-        sim::traceGroupedChunks(configs, batch);
+        sim::traceGroupedChunks(configs, chunkSize);
 
     manifest.shards.reserve(chunks.size());
     for (std::vector<size_t> &chunk : chunks) {

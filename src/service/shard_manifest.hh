@@ -5,10 +5,10 @@
  *
  * A service call's config vector is decomposed with EXACTLY the
  * trace-grouped chunking `SweepRunner::runConfigs` uses for its
- * in-process batches (sim::traceGroupedChunks), so a shard is the
- * same unit of work either way and batch-size invariance (invariant
- * 3) makes the sharded results bitwise identical to the in-process
- * ones.
+ * in-process work items (sim::traceGroupedChunks), so a shard is the
+ * same unit of work either way, and its configs run one by one
+ * through Simulator::run just as in-process, so the sharded results
+ * are bitwise identical to the in-process ones (invariant 8).
  *
  * Shards are *content-addressed*: each shard's spool file name
  * carries an FNV-1a fingerprint of every result-affecting field of
@@ -42,7 +42,7 @@ namespace service {
  */
 uint64_t configFingerprint(const sim::SimConfig &cfg);
 
-/** One unit of supervised work: a lockstep batch of configs. */
+/** One unit of supervised work: one trace-grouped chunk of configs. */
 struct Shard
 {
     /** Positions in the service call's config vector. */
@@ -68,13 +68,13 @@ std::string partPath(const std::string &dir, const Shard &shard);
 std::string donePath(const std::string &dir, const Shard &shard);
 
 /**
- * Decompose @p configs into shards of at most @p batch lanes,
+ * Decompose @p configs into shards of at most @p chunkSize configs,
  * grouped by trace identity exactly like the in-process runner.
  * @p callOrdinal distinguishes repeated runConfigs calls within one
  * scenario session.
  */
 ShardManifest buildManifest(const std::vector<sim::SimConfig> &configs,
-                            size_t batch, uint64_t callOrdinal);
+                            size_t chunkSize, uint64_t callOrdinal);
 
 } // namespace service
 } // namespace iraw

@@ -153,10 +153,9 @@ eventSpoolPath(const std::string &spoolDir, const Shard &shard,
 
 /**
  * Worker body: run the shard's remaining items serially, spooling
- * each result as it lands.  Serial execution (not runBatch) is what
- * makes per-item checkpoints possible; batch-size invariance
- * (invariant 3) keeps the results bitwise identical to the lockstep
- * batch the in-process runner would have used.  Never returns.
+ * each result as it lands -- the same per-config Simulator::run loop
+ * an in-process chunk runs, plus a checkpoint per item.  Never
+ * returns.
  */
 [[noreturn]] void
 workerMain(const sim::Simulator &sim, const ServiceConfig &cfg,
@@ -263,7 +262,8 @@ struct RunningJob
 
 std::vector<sim::SimResult>
 runSharded(const sim::Simulator &sim, ServiceSession &session,
-           const std::vector<sim::SimConfig> &configs, size_t batch)
+           const std::vector<sim::SimConfig> &configs,
+           size_t chunkSize)
 {
     const ServiceConfig &cfg = session.config();
     fatalIf(cfg.spoolDir.empty(),
@@ -271,7 +271,7 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
     fs::create_directories(cfg.spoolDir);
 
     const uint64_t call = session.nextCallOrdinal();
-    ShardManifest manifest = buildManifest(configs, batch, call);
+    ShardManifest manifest = buildManifest(configs, chunkSize, call);
 
     obs::TelemetrySession *telemetry = session.telemetry().get();
     obs::EventTracer *tracer =

@@ -9,9 +9,8 @@
  *            -> service::runSharded       (this file)
  *                 buildManifest           deterministic shards
  *                 fork worker per shard   COW-shares the Simulator
- *                 worker: run items serially, spool each record
- *                         (batch-size invariance keeps the results
- *                         bitwise identical to the lockstep batch)
+ *                 worker: run items serially through
+ *                         Simulator::run, spool each record
  *                 supervise: waitpid crash detection, timeout=
  *                         SIGTERM -> SIGKILL escalation, retries=
  *                         with capped exponential backoff=
@@ -172,7 +171,8 @@ class ServiceSession
  */
 std::vector<sim::SimResult>
 runSharded(const sim::Simulator &sim, ServiceSession &session,
-           const std::vector<sim::SimConfig> &configs, size_t batch);
+           const std::vector<sim::SimConfig> &configs,
+           size_t chunkSize);
 
 } // namespace service
 } // namespace iraw

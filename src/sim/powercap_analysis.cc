@@ -86,7 +86,7 @@ runPowercapStudy(ScenarioContext &ctx)
         nullptr);
     study.oracle.candidates = space.size();
 
-    // Wave B: every capped run in one parallel batch — the runtime
+    // Wave B: every capped run in one parallel wave — the runtime
     // policies first, then one Static hold per oracle candidate.
     std::vector<SimConfig> wave;
     const size_t perGroup = ctx.settings().suite.size();

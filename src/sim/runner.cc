@@ -57,7 +57,8 @@ traceGroupKey(const SimConfig &cfg)
 }
 
 std::vector<std::vector<size_t>>
-traceGroupedChunks(const std::vector<SimConfig> &configs, size_t batch)
+traceGroupedChunks(const std::vector<SimConfig> &configs,
+                   size_t chunkSize)
 {
     std::vector<std::vector<size_t>> chunks;
     std::map<std::string, size_t> groupOf;
@@ -70,8 +71,8 @@ traceGroupedChunks(const std::vector<SimConfig> &configs, size_t batch)
         groups[it->second].push_back(i);
     }
     for (const std::vector<size_t> &group : groups) {
-        for (size_t at = 0; at < group.size(); at += batch) {
-            size_t end = std::min(at + batch, group.size());
+        for (size_t at = 0; at < group.size(); at += chunkSize) {
+            size_t end = std::min(at + chunkSize, group.size());
             chunks.emplace_back(group.begin() + at,
                                 group.begin() + end);
         }
@@ -84,12 +85,13 @@ SweepRunner::runConfigs(const std::vector<SimConfig> &configs) const
 {
     // Service mode: hand the whole wave to the fault-tolerant
     // multi-process supervisor.  It decomposes the work with the
-    // same traceGroupedChunks call, so the shards ARE the batches
-    // and batch-size invariance carries the bitwise-identity claim.
+    // same traceGroupedChunks call, so the shards ARE the chunks,
+    // and each worker runs its shard's configs one by one exactly
+    // like runLocal does.
     std::vector<SimResult> results =
         _cfg.service ? service::runSharded(_sim, *_cfg.service,
                                            configs,
-                                           effectiveBatch())
+                                           effectiveChunkSize())
                      : runLocal(configs);
     foldTelemetry(configs, results);
     return results;
@@ -106,15 +108,15 @@ SweepRunner::runLocal(const std::vector<SimConfig> &configs) const
         meter->addTotal(configs.size());
 
     std::vector<SimResult> results(configs.size());
-    const size_t batch = effectiveBatch();
 
     // Group config indices by trace identity (first-appearance
-    // order), then chunk each group into lockstep batches.
+    // order), then cut each group into chunks.
     std::vector<std::vector<size_t>> chunks =
-        traceGroupedChunks(configs, batch);
+        traceGroupedChunks(configs, effectiveChunkSize());
 
-    // One chunk is one work item; results land at their input index,
-    // so execution order (and thread count) never shows.
+    // One chunk is one work item running its configs in order;
+    // results land at their input index, so execution order (and
+    // thread count) never shows.
     //
     // Sharing contract (TSan-checked by the threaded tests): workers
     // share `results` without a lock, but every chunk owns a
@@ -123,22 +125,13 @@ SweepRunner::runLocal(const std::vector<SimConfig> &configs) const
     // happens-before edge that publishes all slots to this thread.
     auto runChunk = [&](const std::vector<size_t> &chunk) {
         const uint64_t startUs = tracer ? tracer->nowUs() : 0;
-        if (chunk.size() == 1 && !tracer) {
-            results[chunk[0]] = _sim.run(configs[chunk[0]]);
-        } else {
-            std::vector<SimConfig> lanes;
-            lanes.reserve(chunk.size());
-            for (size_t i : chunk) {
-                lanes.push_back(configs[i]);
-                if (tracer)
-                    lanes.back().tracer = _cfg.telemetry->tracer();
-            }
-            if (lanes.size() == 1) {
-                results[chunk[0]] = _sim.run(lanes[0]);
+        for (size_t i : chunk) {
+            if (tracer) {
+                SimConfig traced = configs[i];
+                traced.tracer = _cfg.telemetry->tracer();
+                results[i] = _sim.run(traced);
             } else {
-                std::vector<SimResult> out = _sim.runBatch(lanes);
-                for (size_t j = 0; j < chunk.size(); ++j)
-                    results[chunk[j]] = std::move(out[j]);
+                results[i] = _sim.run(configs[i]);
             }
         }
         if (tracer)
@@ -146,7 +139,7 @@ SweepRunner::runLocal(const std::vector<SimConfig> &configs) const
                 "sweep.chunk", "sweep", startUs,
                 tracer->nowUs() - startUs,
                 {obs::EventTracer::arg(
-                     "lanes", static_cast<uint64_t>(chunk.size())),
+                     "configs", static_cast<uint64_t>(chunk.size())),
                  obs::EventTracer::arg(
                      "group", traceGroupKey(configs[chunk[0]]))});
         if (meter)
@@ -187,8 +180,8 @@ SweepRunner::foldTelemetry(const std::vector<SimConfig> &configs,
     reg.counter("runner", "calls", "runConfigs waves").add();
     reg.counter("runner", "configs", "work items executed")
         .add(configs.size());
-    reg.counter("runner", "chunks", "lockstep batches scheduled")
-        .add(traceGroupedChunks(configs, effectiveBatch()).size());
+    reg.counter("runner", "chunks", "trace-grouped chunks scheduled")
+        .add(traceGroupedChunks(configs, effectiveChunkSize()).size());
 
     // Host wall time and adapt transition accounting, folded from
     // the per-run results (service-mode results carry no host

@@ -1,9 +1,9 @@
 /**
  * @file
  * Parallel experiment runner: decomposes a Vcc sweep into independent
- * (Vcc, trace, machine-config) work items, schedules them over a
- * worker pool as lockstep *batches*, and merges the per-trace results
- * with a deterministic, fixed-order reduction.
+ * (Vcc, trace, machine-config) simulations, schedules them over a
+ * worker pool in trace-grouped chunks, and merges the per-trace
+ * results with a deterministic, fixed-order reduction.
  *
  * Scheduling layers, from the outside in:
  *
@@ -18,19 +18,17 @@
  *     produced here (no chip sample, no adaptive controller), which
  *     is what makes the classification sound.
  *
- *  2. Trace-grouped batching (runConfigs): work items are grouped by
+ *  2. Trace-grouped chunking (runConfigs): simulations are grouped by
  *     trace identity (workload, trace path, seed, budget) and each
- *     group is chunked into batches of RunnerConfig::batch lanes.  A
- *     batch runs through Simulator::runBatch -- B engines advanced
- *     round-robin in bounded cycle quanta -- so all lanes walk the
- *     same decoded trace buffer together instead of streaming it B
- *     times.  One batch is one work item for the thread pool.
+ *     group is cut into chunks of RunnerConfig::chunkSize configs.
+ *     One chunk is one work item for the thread pool; it runs its
+ *     configs in order, each through Simulator::run, replaying the
+ *     trace store's one decoded buffer.
  *
- * Determinism: results are written back by input index, the reduction
- * always folds partials in suite order, and the lockstep quantum
- * never changes a tick (see sim/sim_engine.hh), so aggregates are
- * bitwise identical at threads=1 and threads=N, and at batch=1 and
- * batch=B, in any combination.
+ * Determinism: every simulation is an independent Simulator::run,
+ * results are written back by input index and the reduction always
+ * folds partials in suite order, so aggregates are bitwise identical
+ * for any thread count and any chunk size.
  */
 
 #ifndef IRAW_SIM_RUNNER_HH
@@ -58,10 +56,10 @@ namespace sim {
 struct RunnerConfig
 {
     RunnerConfig() = default;
-    RunnerConfig(unsigned threadCount, unsigned batchLanes = 8,
+    RunnerConfig(unsigned threadCount, unsigned chunkConfigs = 8,
                  std::shared_ptr<service::ServiceSession> session =
                      nullptr)
-        : threads(threadCount), batch(batchLanes),
+        : threads(threadCount), chunkSize(chunkConfigs),
           service(std::move(session))
     {}
 
@@ -69,11 +67,11 @@ struct RunnerConfig
     unsigned threads = 1;
 
     /**
-     * Lockstep lanes per batched work item (scenario option
-     * batch=).  1 runs every simulation standalone; results are
-     * bitwise identical at every setting.
+     * Configs per work item: the most simulations of one trace a
+     * thread-pool task (or a service shard) runs back to back.
+     * Results are bitwise identical at every setting.
      */
-    unsigned batch = 8;
+    unsigned chunkSize = 8;
 
     /**
      * Sharded service mode (scenario option workers=): when set,
@@ -99,21 +97,21 @@ struct RunnerConfig
 
 /**
  * Trace identity: configs with equal keys replay the same dynamic
- * instruction stream, so they can share one decoded buffer as
- * lockstep lanes.  Shared with the service shard manifest, which
- * must decompose work exactly like the in-process runner.
+ * instruction stream, so they share one decoded buffer.  Shared with
+ * the service shard manifest, which must decompose work exactly like
+ * the in-process runner.
  */
 std::string traceGroupKey(const SimConfig &cfg);
 
 /**
  * Group config indices by trace identity (first-appearance order),
- * then chunk each group into lockstep batches of at most @p batch
- * lanes.  This is both runConfigs's work decomposition and the
- * service layer's shard decomposition.
+ * then cut each group into chunks of at most @p chunkSize configs.
+ * This is both runConfigs's work decomposition and the service
+ * layer's shard decomposition.
  */
 std::vector<std::vector<size_t>>
 traceGroupedChunks(const std::vector<SimConfig> &configs,
-                   size_t batch);
+                   size_t chunkSize);
 
 /** One (voltage, machine) aggregation request. */
 struct MachinePoint
@@ -136,11 +134,11 @@ class SweepRunner
     /** Effective worker count after resolving threads=0. */
     unsigned effectiveThreads() const;
 
-    /** Effective lanes per batch after clamping batch=0. */
+    /** Effective configs per work item after clamping 0 to 1. */
     unsigned
-    effectiveBatch() const
+    effectiveChunkSize() const
     {
-        return _cfg.batch == 0 ? 1 : _cfg.batch;
+        return _cfg.chunkSize == 0 ? 1 : _cfg.chunkSize;
     }
 
     /**
@@ -157,7 +155,7 @@ class SweepRunner
                             mechanism::IrawMode mode) const;
 
     /**
-     * Aggregate many machines in one parallel batch — the bench
+     * Aggregate many machines in one parallel wave — the bench
      * driver's workhorse (e.g. 13 voltages x 2 machines x 9 traces
      * as 234 independent tasks).  Results arrive in @p points order.
      * Points whose behaviour class repeats an earlier point are
@@ -172,7 +170,7 @@ class SweepRunner
      * results arrive in @p configs order.  The escape hatch for
      * sweeps whose points differ in more than (Vcc, mode) — e.g.
      * one machine per workload or per core config.  Configs sharing
-     * a trace run as lockstep batches of effectiveBatch() lanes.
+     * a trace run in chunks of effectiveChunkSize() configs.
      */
     std::vector<SimResult>
     runConfigs(const std::vector<SimConfig> &configs) const;

@@ -34,11 +34,6 @@ ScenarioContext::ScenarioContext(
     fatalIf(threads > 1024, "threads=%llu out of range [0, 1024]",
             static_cast<unsigned long long>(threads));
     _settings.threads = static_cast<unsigned>(threads);
-    uint64_t batch = opts.getUint("batch", 8);
-    fatalIf(batch == 0 || batch > 256,
-            "batch=%llu out of range [1, 256]",
-            static_cast<unsigned long long>(batch));
-    _settings.batch = static_cast<unsigned>(batch);
     bool quick = opts.getBool("quick", false);
     _settings.tracePath = opts.getString("trace", "");
     if (!_settings.tracePath.empty()) {
@@ -191,7 +186,6 @@ ScenarioContext::runnerConfig() const
 {
     RunnerConfig cfg;
     cfg.threads = _settings.threads;
-    cfg.batch = _settings.batch;
     cfg.service = _service;
     cfg.telemetry = _telemetry;
     return cfg;
@@ -348,12 +342,12 @@ std::vector<std::string>
 documentedOptions(const std::vector<const Scenario *> &scenarios)
 {
     std::vector<std::string> keys = {
-        "scenario",   "list",       "threads",   "batch",
-        "insts",      "seeds",      "quick",     "warmup",
-        "trace",      "tracestore", "tracecache", "storebytes",
-        "storestats", "profile",    "workers",   "timeout",
-        "retries",    "backoff",    "spool",     "resume",
-        "faultinject", "telemetry", "chrometrace", "progress"};
+        "scenario",   "list",       "threads",    "insts",
+        "seeds",      "quick",      "warmup",     "trace",
+        "tracestore", "tracecache", "storebytes", "storestats",
+        "profile",    "workers",    "timeout",    "retries",
+        "backoff",    "spool",      "resume",     "faultinject",
+        "telemetry",  "chrometrace", "progress"};
     for (const Scenario *s : scenarios)
         collectOptionKeys(s->description, keys);
     std::sort(keys.begin(), keys.end());
@@ -399,7 +393,7 @@ scenarioMain(int argc, const char *const *argv)
         toRun = registry.all();
     } else {
         std::cerr << "usage: scenario=<name>|all [list=1] "
-                     "[threads=N] [batch=N] "
+                     "[threads=N] "
                      "[insts=N] [seeds=N] [quick=1] "
                      "[warmup=N] [trace=file.trc] [tracestore=0|1] "
                      "[tracecache=dir] [storebytes=N] "

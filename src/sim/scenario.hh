@@ -3,7 +3,7 @@
  * Scenario registry: every figure/table bench and example registers
  * itself here and runs through one driver entry point
  * (scenarioMain), so all of them share the same CLI overrides
- * (threads=, batch=, insts=, seeds=, quick=, warmup=, trace=,
+ * (threads=, insts=, seeds=, quick=, warmup=, trace=,
  * tracestore=, tracecache=, storebytes=, storestats=, profile=, the
  * sharded-service options workers=, timeout=, retries=, backoff=,
  * spool=, resume=, faultinject=, the telemetry options telemetry=,
@@ -39,8 +39,6 @@ struct ScenarioSettings
     uint64_t warmup = 40000;
     /** Worker threads; 0 means "one per hardware thread". */
     unsigned threads = 0;
-    /** Lockstep lanes per batched sweep work item (batch=). */
-    unsigned batch = 8;
     /**
      * trace= override: scenarios that build their own SimConfig or
      * pipeline should replay this file instead of a synthetic
@@ -112,7 +110,7 @@ class ScenarioContext
 
     /**
      * The runner execution settings every sweep in this scenario
-     * should use: threads=, batch=, and — when workers= enabled the
+     * should use: threads= and — when workers= enabled the
      * sharded service — the shared ServiceSession.  Scenarios that
      * build their own SweepRunner (e.g. the population drivers) must
      * go through this instead of hand-rolling a RunnerConfig, or
@@ -149,7 +147,7 @@ class ScenarioContext
     MachineAtVcc runMachine(circuit::MilliVolts vcc,
                             mechanism::IrawMode mode);
 
-    /** Aggregate many machines in one parallel batch. */
+    /** Aggregate many machines in one parallel wave. */
     std::vector<MachineAtVcc>
     runMachines(const std::vector<MachinePoint> &points);
 

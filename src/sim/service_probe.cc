@@ -19,13 +19,13 @@ namespace fs = std::filesystem;
 ServiceOverheadResult
 probeServiceOverhead(const Simulator &sim,
                      const std::vector<SimConfig> &configs,
-                     size_t batch, unsigned workers)
+                     size_t chunkSize, unsigned workers)
 {
     ServiceOverheadResult result;
     result.workers = workers;
 
-    RunnerConfig rcfg(workers,
-                      static_cast<unsigned>(batch == 0 ? 1 : batch));
+    RunnerConfig rcfg(workers, static_cast<unsigned>(
+                                   chunkSize == 0 ? 1 : chunkSize));
     SweepRunner runner(sim, rcfg);
 
     // Warm pass: both timed variants replay from the trace store
@@ -44,7 +44,7 @@ probeServiceOverhead(const Simulator &sim,
 
     t0 = obs::monotonicSeconds();
     std::vector<SimResult> sharded =
-        service::runSharded(sim, session, configs, batch);
+        service::runSharded(sim, session, configs, chunkSize);
     result.shardedSeconds = obs::monotonicSeconds() - t0;
     result.shards = session.stats().shardsTotal;
 
@@ -73,7 +73,7 @@ probeServiceOverhead(const Simulator &sim,
     service::ServiceSession resumeSession(resumeCfg);
     t0 = obs::monotonicSeconds();
     std::vector<SimResult> resumed =
-        service::runSharded(sim, resumeSession, configs, batch);
+        service::runSharded(sim, resumeSession, configs, chunkSize);
     result.resumeScanSeconds = obs::monotonicSeconds() - t0;
     panicIf(resumeSession.stats().shardsReused != result.shards,
             "service probe: resume pass reran shards instead of "

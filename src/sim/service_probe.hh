@@ -58,7 +58,7 @@ struct ServiceOverheadResult
 ServiceOverheadResult
 probeServiceOverhead(const Simulator &sim,
                      const std::vector<SimConfig> &configs,
-                     size_t batch, unsigned workers);
+                     size_t chunkSize, unsigned workers);
 
 } // namespace sim
 } // namespace iraw

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "common/logging.hh"
 #include "obs/event_tracer.hh"
@@ -78,9 +77,6 @@ SimEngine::SimEngine(const Simulator &sim, const SimConfig &cfg)
         _res.adapt.minVcc = _opVcc;
         _res.adapt.floorVcc = _vctl->floorVcc();
     }
-
-    if (_cfg.warmupInstructions == 0)
-        _phase = Phase::Measure;
 }
 
 void
@@ -142,33 +138,24 @@ SimEngine::closeSegment()
     _segSettle = 0;
 }
 
-bool
-SimEngine::stepPhase(uint64_t target, memory::Cycle stop)
+void
+SimEngine::runPhase(uint64_t target)
 {
     // Fixed-Vcc runs take the pipeline's own loop; adaptive runs
     // chunk it at epoch boundaries -- the tick sequence between
     // boundaries is identical, so a controller that never switches
-    // (Static) is bitwise identical to the fixed-Vcc path.  The
-    // quantum bound @p stop is one more stop cycle folded into the
-    // same chunking and changes no tick.
+    // (Static) is bitwise identical to the fixed-Vcc path.
     if (!_vctl) {
-        _pipe.runUntil(target, stop);
-        if (_pipe.stats().committedInsts >= target)
-            return true;
-        if (_pipe.currentCycle() >= stop)
-            return false; // quantum exhausted
-        return true;      // trace drained before the budget
+        _pipe.run(target);
+        return;
     }
     const adapt::AdaptConfig &acfg = *_cfg.adapt;
     for (;;) {
-        _pipe.runUntil(target, std::min(_nextEpoch, stop));
+        _pipe.runUntil(target, _nextEpoch);
         if (_pipe.stats().committedInsts >= target)
-            return true;
-        if (_pipe.currentCycle() < _nextEpoch) {
-            if (_pipe.currentCycle() >= stop)
-                return false; // quantum exhausted
-            return true;      // trace drained before the budget
-        }
+            return;
+        if (_pipe.currentCycle() < _nextEpoch)
+            return; // trace drained before the budget
         adapt::EpochTelemetry telemetry;
         telemetry.cycles = _pipe.currentCycle() - _epochStartCycle;
         telemetry.instructions =
@@ -246,73 +233,51 @@ SimEngine::stepPhase(uint64_t target, memory::Cycle stop)
         _epochStartInsts = _pipe.stats().committedInsts;
         _epochStartIraw = irawStallsNow();
         _nextEpoch = _pipe.currentCycle() + acfg.epochCycles;
-        if (_pipe.currentCycle() >= stop)
-            return false; // quantum exhausted at the boundary
     }
 }
 
 void
-SimEngine::endPhase()
+SimEngine::endWarmup()
 {
-    if (_phase == Phase::Warmup) {
-        // Warm-up window: snapshot every counter, then measure.
-        _warm = _pipe.stats();
-        _warmEndCycle = _pipe.currentCycle();
-        _snap.il0Acc = _mem.il0().accesses();
-        _snap.il0Hit = _mem.il0().hits();
-        _snap.dl0Acc = _mem.dl0().accesses();
-        _snap.dl0Hit = _mem.dl0().hits();
-        _snap.ul1Acc = _mem.ul1().accesses();
-        _snap.ul1Hit = _mem.ul1().hits();
-        _snap.dl0Guard = _mem.dl0Guard().stallCycles();
-        _snap.otherGuard = otherGuardStallsNow();
-        _snap.bpPred = _pipe.branchPredictor().predictions();
-        _snap.bpMiss = _pipe.branchPredictor().mispredictions();
-        _phase = Phase::Measure;
-    } else if (_phase == Phase::Measure) {
-        _phase = Phase::Done;
-    }
+    _warm = _pipe.stats();
+    _warmEndCycle = _pipe.currentCycle();
+    _snap.il0Acc = _mem.il0().accesses();
+    _snap.il0Hit = _mem.il0().hits();
+    _snap.dl0Acc = _mem.dl0().accesses();
+    _snap.dl0Hit = _mem.dl0().hits();
+    _snap.ul1Acc = _mem.ul1().accesses();
+    _snap.ul1Hit = _mem.ul1().hits();
+    _snap.dl0Guard = _mem.dl0Guard().stallCycles();
+    _snap.otherGuard = otherGuardStallsNow();
+    _snap.bpPred = _pipe.branchPredictor().predictions();
+    _snap.bpMiss = _pipe.branchPredictor().mispredictions();
 }
 
-void
-SimEngine::advance(memory::Cycle quantumCycles)
+SimResult
+SimEngine::run()
 {
-    if (_phase == Phase::Done || quantumCycles == 0)
-        return;
+    panicIf(_ran, "SimEngine: run() called twice");
+    _ran = true;
     // lint-determinism: allow(obs-only-wallclock) perf.sim_wall_seconds host metric; read only into SimResult.host, never into simulated state (invariant 6)
     auto wallStart = std::chrono::steady_clock::now();
-    const memory::Cycle now = _pipe.currentCycle();
-    const memory::Cycle maxCycle =
-        std::numeric_limits<memory::Cycle>::max();
-    const memory::Cycle stop = quantumCycles > maxCycle - now
-                                   ? maxCycle
-                                   : now + quantumCycles;
-    while (_phase != Phase::Done && _pipe.currentCycle() < stop) {
-        const uint64_t target = _phase == Phase::Warmup
-                                    ? _cfg.warmupInstructions
-                                    : _totalBudget;
-        if (!stepPhase(target, stop))
-            break; // quantum exhausted mid-phase
-        endPhase();
+    if (_cfg.warmupInstructions > 0) {
+        runPhase(_cfg.warmupInstructions);
+        endWarmup();
     }
+    runPhase(_totalBudget);
     // lint-determinism: allow(obs-only-wallclock) closes the host wall-time bracket opened above (invariant 6)
     auto wallEnd = std::chrono::steady_clock::now();
-    _wallSeconds +=
+    _res.host.wallSeconds =
         std::chrono::duration<double>(wallEnd - wallStart).count();
+    return finalize();
 }
 
 SimResult
 SimEngine::finalize()
 {
-    panicIf(_phase != Phase::Done,
-            "SimEngine: finalize() before the run completed");
-    panicIf(_finalized, "SimEngine: finalize() called twice");
-    _finalized = true;
-
     SimResult &res = _res;
     core::PipelineStats total = _pipe.stats();
 
-    res.host.wallSeconds = _wallSeconds;
     res.host.instructions = total.committedInsts;
     res.host.stages = _stageProfiler;
 

@@ -1,26 +1,24 @@
 /**
  * @file
- * Steppable single-run engine: Simulator::run() unrolled into an
- * object whose cycle loop advances in bounded quanta.
+ * One simulation run as an object: Simulator::run() builds a SimEngine
+ * and calls run() once.
  *
- * One SimEngine owns everything a run needs (trace cursor, memory
- * hierarchy, pipeline, optional Vcc controller) and exposes
- * advance(quantumCycles), so a caller can interleave many runs in
- * lockstep -- the batched sweep path (Simulator::runBatch) round-robins
- * a quantum across B engines whose replay cursors walk the same
- * decoded trace buffer, keeping the shared pages hot in cache.
+ * A SimEngine owns everything a run needs (trace cursor, memory
+ * hierarchy, pipeline, optional Vcc controller) and drives it through
+ * the warmup and measured phases.  Fixed-Vcc runs hand each phase to
+ * Pipeline::run() whole.  Adaptive runs cut each phase at the
+ * controller's epoch boundaries with Pipeline::runUntil().
  *
- * Determinism contract: the quantum only picks the *stop cycle* handed
- * to Pipeline::runUntil(); the instruction budget passed through is
+ * Determinism contract: an epoch boundary only picks the *stop cycle*
+ * handed to runUntil(); the instruction budget passed through is
  * always the full phase target.  The budget is visible to the issue
  * stage (the slot loop stops exactly at the budget), so chunking by
  * instruction count would perturb the final cycle of every chunk --
- * chunking by stop cycle provably does not, because runUntil() executes
- * the identical tick sequence for any chunking of the same budget.
- * Epoch-boundary evaluation of the adaptive controller happens at the
- * same cycles regardless of where quanta fall, so for every quantum
- * size (including "infinite", which is what Simulator::run() uses) the
- * results are bitwise identical.
+ * chunking by stop cycle provably does not, because runUntil()
+ * executes the identical tick sequence for any chunking of the same
+ * budget (invariant 1, docs/ARCHITECTURE.md).  A controller that
+ * never switches (Policy::Static) is therefore bitwise identical to
+ * the fixed-Vcc run.
  */
 
 #ifndef IRAW_SIM_SIM_ENGINE_HH
@@ -40,43 +38,18 @@
 namespace iraw {
 namespace sim {
 
-/** One simulation run as a steppable object. */
+/** One simulation run: construct, run(), read the result. */
 class SimEngine
 {
   public:
-    /** Builds the machine and applies the initial operating point
-     *  (everything Simulator::run() did before its first tick). */
+    /** Builds the machine and applies the initial operating point. */
     SimEngine(const Simulator &sim, const SimConfig &cfg);
 
-    /** True once every phase (warmup + measured window) completed. */
-    bool done() const { return _phase == Phase::Done; }
-
-    /**
-     * Tick the machine for at most @p quantumCycles more cycles
-     * (phase transitions and adaptive-controller epochs run inline
-     * exactly as the monolithic loop would).  No-op once done().
-     */
-    void advance(memory::Cycle quantumCycles);
-
-    /** Assemble the SimResult.  Requires done(); call once. */
-    SimResult finalize();
-
-    const SimConfig &config() const { return _cfg; }
-    uint64_t
-    committedInstructions() const
-    {
-        return _pipe.stats().committedInsts;
-    }
-    memory::Cycle currentCycle() const { return _pipe.currentCycle(); }
+    /** Run every phase to completion and assemble the SimResult.
+     *  One-shot: a second call is a usage error. */
+    SimResult run();
 
   private:
-    enum class Phase
-    {
-        Warmup,
-        Measure,
-        Done,
-    };
-
     /** Cache/predictor counters at the warmup boundary. */
     struct MemSnapshot
     {
@@ -95,11 +68,13 @@ class SimEngine
     uint64_t irawStallsNow() const;
     void closeSegment();
 
-    /** Tick toward @p target committed instructions, stopping at
-     *  cycle @p stop.  Returns true when the phase is over (target
-     *  reached or trace drained), false when @p stop hit first. */
-    bool stepPhase(uint64_t target, memory::Cycle stop);
-    void endPhase();
+    /** Tick until @p target committed instructions (or the trace
+     *  drains), evaluating the adaptive controller at every epoch
+     *  boundary on the way. */
+    void runPhase(uint64_t target);
+    /** Snapshot every counter at the end of the warmup window. */
+    void endWarmup();
+    SimResult finalize();
 
     const Simulator &_sim;
     SimConfig _cfg;
@@ -114,14 +89,12 @@ class SimEngine
     core::Pipeline _pipe;
 
     StageProfiler _stageProfiler;
-    double _wallSeconds = 0.0;
 
     /** Borrowed from SimConfig::tracer; null = tracing off. */
     obs::EventTracer *_tracer = nullptr;
     uint64_t _epochWallUs = 0;
 
-    Phase _phase = Phase::Warmup;
-    bool _finalized = false;
+    bool _ran = false;
 
     // Epoch-loop bookkeeping (adaptive runs only).
     uint64_t _totalBudget = 0;

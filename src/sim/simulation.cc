@@ -1,8 +1,6 @@
 #include "sim/simulation.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.hh"
 #include "sim/sim_engine.hh"
@@ -52,44 +50,7 @@ Simulator::dramCyclesAt(double cycleTimeAu, double dramLatencyNs)
 SimResult
 Simulator::run(const SimConfig &cfg) const
 {
-    // One engine driven to completion in a single quantum: the
-    // steppable loop (sim/sim_engine.cc) executes exactly the tick
-    // sequence the monolithic loop did.
-    SimEngine engine(*this, cfg);
-    while (!engine.done())
-        engine.advance(std::numeric_limits<memory::Cycle>::max());
-    return engine.finalize();
-}
-
-std::vector<SimResult>
-Simulator::runBatch(const std::vector<SimConfig> &cfgs,
-                    memory::Cycle quantumCycles) const
-{
-    fatalIf(quantumCycles == 0, "runBatch: zero cycle quantum");
-    std::vector<std::unique_ptr<SimEngine>> lanes;
-    lanes.reserve(cfgs.size());
-    for (const SimConfig &cfg : cfgs)
-        lanes.push_back(std::make_unique<SimEngine>(*this, cfg));
-
-    // Round-robin lockstep: every live lane gets one quantum per
-    // turn, so lanes sharing a stored trace stay within one quantum
-    // of each other on the decoded buffer.
-    bool active = !lanes.empty();
-    while (active) {
-        active = false;
-        for (std::unique_ptr<SimEngine> &lane : lanes) {
-            if (lane->done())
-                continue;
-            lane->advance(quantumCycles);
-            active = active || !lane->done();
-        }
-    }
-
-    std::vector<SimResult> results;
-    results.reserve(lanes.size());
-    for (std::unique_ptr<SimEngine> &lane : lanes)
-        results.push_back(lane->finalize());
-    return results;
+    return SimEngine(*this, cfg).run();
 }
 
 std::unique_ptr<trace::TraceSource>

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "adapt/vcc_controller.hh"
 #include "circuit/cycle_time.hh"
@@ -216,29 +215,8 @@ class Simulator
   public:
     Simulator();
 
-    /** Run one configuration to completion. */
+    /** Run one configuration to completion (see sim_engine.hh). */
     SimResult run(const SimConfig &cfg) const;
-
-    /**
-     * Cycle quantum runBatch() hands each engine per round-robin
-     * turn.  Small enough that the lanes' replay cursors stay within
-     * one L2-sized window of the shared decoded trace, large enough
-     * that the per-turn bookkeeping vanishes in the noise.
-     */
-    static constexpr memory::Cycle kBatchQuantumCycles = 32768;
-
-    /**
-     * Run several configurations in lockstep: one SimEngine per
-     * config, advanced round-robin in bounded cycle quanta so that
-     * engines replaying the same stored trace walk the decoded
-     * buffer together instead of streaming it B times.  Results are
-     * bitwise identical to running each config through run() -- the
-     * quantum never changes a tick (see sim_engine.hh) -- and are
-     * returned in input order.
-     */
-    std::vector<SimResult>
-    runBatch(const std::vector<SimConfig> &cfgs,
-             memory::Cycle quantumCycles = kBatchQuantumCycles) const;
 
     /**
      * Share a trace store across runs: traces are materialized once

@@ -39,9 +39,9 @@ runPopulation(ScenarioContext &ctx,
               const variation::PopulationConfig &cfg)
 {
     // runnerConfig() rather than a hand-rolled RunnerConfig: the
-    // populations must honor batch= and service mode (workers=)
+    // populations must honor threads= and service mode (workers=)
     // like every other sweep; results are bitwise identical either
-    // way (invariants 2, 3 and 8).
+    // way (invariants 2 and 8).
     variation::ChipPopulation population(ctx.simulator(),
                                          ctx.runnerConfig());
     return population.run(cfg);

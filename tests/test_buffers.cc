@@ -13,7 +13,7 @@ TEST(FillBufferTest, AllocateTrackRetire)
 {
     FillBuffer fb("fb", 2);
     EXPECT_FALSE(fb.contains(0x100));
-    fb.allocate(0x100, 50);
+    fb.allocate(0x100, 0, 50);
     EXPECT_TRUE(fb.contains(0x100));
     EXPECT_EQ(fb.readyCycle(0x100), 50u);
     EXPECT_EQ(fb.occupancy(), 1u);
@@ -30,19 +30,32 @@ TEST(FillBufferTest, AllocateTrackRetire)
 TEST(FillBufferTest, FullnessReflectsInFlightFills)
 {
     FillBuffer fb("fb", 2);
-    fb.allocate(0x100, 50);
-    fb.allocate(0x200, 60);
+    fb.allocate(0x100, 0, 50);
+    fb.allocate(0x200, 0, 60);
     EXPECT_TRUE(fb.full(40));
     EXPECT_FALSE(fb.full(50)) << "a completed fill frees a slot";
     EXPECT_EQ(fb.earliestReady(), 50u);
+
+    // allocate() agrees with full(): the completed fill's slot is
+    // reused without a retire() first...
+    fb.allocate(0x300, 50, 90);
+    EXPECT_FALSE(fb.contains(0x100));
+    EXPECT_TRUE(fb.contains(0x200));
+    EXPECT_TRUE(fb.contains(0x300));
+    EXPECT_TRUE(fb.full(55));
+    // ...and with several completed, the earliest one goes.
+    fb.allocate(0x400, 95, 120);
+    EXPECT_FALSE(fb.contains(0x200));
+    EXPECT_TRUE(fb.contains(0x300));
+    EXPECT_EQ(fb.occupancy(), 2u);
 }
 
 TEST(FillBufferTest, RetireOrderedByCompletion)
 {
     FillBuffer fb("fb", 4);
-    fb.allocate(0x300, 70);
-    fb.allocate(0x100, 50);
-    fb.allocate(0x200, 60);
+    fb.allocate(0x300, 0, 70);
+    fb.allocate(0x100, 0, 50);
+    fb.allocate(0x200, 0, 60);
     auto done = fb.retire(100);
     ASSERT_EQ(done.size(), 3u);
     EXPECT_EQ(done[0].second, 50u);
@@ -53,15 +66,15 @@ TEST(FillBufferTest, RetireOrderedByCompletion)
 TEST(FillBufferTest, DuplicateAllocationPanics)
 {
     FillBuffer fb("fb", 2);
-    fb.allocate(0x100, 50);
-    EXPECT_THROW(fb.allocate(0x100, 60), PanicError);
+    fb.allocate(0x100, 0, 50);
+    EXPECT_THROW(fb.allocate(0x100, 0, 60), PanicError);
 }
 
 TEST(FillBufferTest, OverflowPanics)
 {
     FillBuffer fb("fb", 1);
-    fb.allocate(0x100, 50);
-    EXPECT_THROW(fb.allocate(0x200, 60), PanicError);
+    fb.allocate(0x100, 0, 50);
+    EXPECT_THROW(fb.allocate(0x200, 0, 60), PanicError);
 }
 
 TEST(FillBufferTest, MergeCounter)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/pipeline.hh"
 #include "trace/generator.hh"
 #include "trace/workload.hh"
@@ -59,6 +61,64 @@ TEST(PipelineTest, DeterministicAcrossRuns)
     EXPECT_EQ(sa.cycles, sb.cycles);
     EXPECT_EQ(sa.rfIrawStallCycles, sb.rfIrawStallCycles);
     EXPECT_EQ(sa.mispredicts, sb.mispredicts);
+}
+
+/** Every counter of two runs' statistics is identical. */
+void
+expectSameStats(const PipelineStats &a, const PipelineStats &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.committedInsts, b.committedInsts);
+    EXPECT_EQ(a.drainNops, b.drainNops);
+    EXPECT_EQ(a.rawStallCycles, b.rawStallCycles);
+    EXPECT_EQ(a.rfIrawStallCycles, b.rfIrawStallCycles);
+    EXPECT_EQ(a.wawStallCycles, b.wawStallCycles);
+    EXPECT_EQ(a.structuralStallCycles, b.structuralStallCycles);
+    EXPECT_EQ(a.iqGateStallCycles, b.iqGateStallCycles);
+    EXPECT_EQ(a.dl0ReplayStallCycles, b.dl0ReplayStallCycles);
+    EXPECT_EQ(a.iqEmptyCycles, b.iqEmptyCycles);
+    EXPECT_EQ(a.rfIrawDelayedInsts, b.rfIrawDelayedInsts);
+    EXPECT_EQ(a.fetchLineAccesses, b.fetchLineAccesses);
+    EXPECT_EQ(a.icacheStallCycles, b.icacheStallCycles);
+    EXPECT_EQ(a.mispredicts, b.mispredicts);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.rsbMispredicts, b.rsbMispredicts);
+    EXPECT_EQ(a.rsbDeterminismStalls, b.rsbDeterminismStalls);
+    EXPECT_EQ(a.bpConflictReads, b.bpConflictReads);
+    EXPECT_EQ(a.rsbConflictPops, b.rsbConflictPops);
+    EXPECT_EQ(a.injectedCorruptions, b.injectedCorruptions);
+    EXPECT_EQ(a.stableFullMatches, b.stableFullMatches);
+    EXPECT_EQ(a.stableSetMatches, b.stableSetMatches);
+    EXPECT_EQ(a.stableReplayedStores, b.stableReplayedStores);
+    EXPECT_EQ(a.loads, b.loads);
+    EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.loadMisses, b.loadMisses);
+}
+
+TEST(PipelineTest, StopCycleChunkingIsInvisible)
+{
+    // Invariant 1 (docs/ARCHITECTURE.md): runUntil() cut at any
+    // sequence of stop cycles executes exactly the tick sequence of
+    // one run().  A short stride puts a boundary inside nearly every
+    // miss and stall window; a long one crosses few.
+    const uint64_t insts = 15000;
+    for (uint32_t n : {0u, 2u}) {
+        Rig whole;
+        whole.pipe.applySettings(settings(n > 0, n));
+        const PipelineStats &want = whole.pipe.run(insts);
+        for (memory::Cycle stride : {257ull, 4096ull}) {
+            SCOPED_TRACE("N=" + std::to_string(n) +
+                         " stride=" + std::to_string(stride));
+            Rig chunked;
+            chunked.pipe.applySettings(settings(n > 0, n));
+            memory::Cycle stop = 0;
+            while (chunked.pipe.stats().committedInsts < insts) {
+                stop += stride;
+                chunked.pipe.runUntil(insts, stop);
+            }
+            expectSameStats(chunked.pipe.stats(), want);
+        }
+    }
 }
 
 TEST(PipelineTest, BaselineHasNoIrawArtifacts)

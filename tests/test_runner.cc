@@ -1,14 +1,15 @@
 /**
  * @file
  * Unit tests for the parallel experiment runner: the thread pool,
- * thread-count determinism of the sweep aggregates (threads=1 and
- * threads=N must agree bitwise), and the scenario registry.
+ * thread-count and chunk-size determinism of the sweep results
+ * (every schedule must agree bitwise), and the scenario registry.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -153,6 +154,62 @@ TEST(SweepRunner, BatchMatchesIndividualRuns)
         auto one = runner.runMachine(cfg, points[i].vcc,
                                      points[i].mode);
         expectMachinesIdentical(batch[i], one);
+    }
+}
+
+void
+expectResultsIdentical(const SimResult &a, const SimResult &b)
+{
+    EXPECT_EQ(a.pipeline.cycles, b.pipeline.cycles);
+    EXPECT_EQ(a.pipeline.committedInsts, b.pipeline.committedInsts);
+    EXPECT_EQ(a.pipeline.rfIrawStallCycles,
+              b.pipeline.rfIrawStallCycles);
+    EXPECT_EQ(a.pipeline.iqGateStallCycles,
+              b.pipeline.iqGateStallCycles);
+    EXPECT_EQ(a.pipeline.mispredicts, b.pipeline.mispredicts);
+    EXPECT_EQ(a.pipeline.drainNops, b.pipeline.drainNops);
+    EXPECT_EQ(a.ipc, b.ipc);
+    EXPECT_EQ(a.cycleTimeAu, b.cycleTimeAu);
+    EXPECT_EQ(a.execTimeAu, b.execTimeAu);
+    EXPECT_EQ(a.dramCycles, b.dramCycles);
+    EXPECT_EQ(a.dl0GuardStalls, b.dl0GuardStalls);
+    EXPECT_EQ(a.otherGuardStalls, b.otherGuardStalls);
+    EXPECT_EQ(a.il0MissRate, b.il0MissRate);
+    EXPECT_EQ(a.dl0MissRate, b.dl0MissRate);
+    EXPECT_EQ(a.ul1MissRate, b.ul1MissRate);
+    EXPECT_EQ(a.bpAccuracy, b.bpAccuracy);
+    EXPECT_EQ(a.settings.stabilizationCycles,
+              b.settings.stabilizationCycles);
+    EXPECT_EQ(a.settings.enabled, b.settings.enabled);
+}
+
+TEST(SweepRunner, ChunkSizeInvariantIncludingNonDividing)
+{
+    // 5 configs on one trace: chunk size 8 (one undersized chunk),
+    // 3 (a 3+2 split) and 1 (one config per work item), each at
+    // threads=1 and threads=4, must all reproduce plain
+    // Simulator::run calls.
+    Simulator sim;
+    std::vector<SimConfig> cfgs;
+    std::vector<SimResult> reference;
+    for (double vcc : {600.0, 550.0, 500.0, 450.0, 400.0}) {
+        SimConfig cfg;
+        cfg.instructions = 6000;
+        cfg.warmupInstructions = 3000;
+        cfg.vcc = vcc;
+        cfgs.push_back(cfg);
+        reference.push_back(sim.run(cfg));
+    }
+    for (unsigned threads : {1u, 4u}) {
+        for (unsigned chunk : {1u, 3u, 8u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " chunk=" + std::to_string(chunk));
+            auto got = SweepRunner(sim, RunnerConfig{threads, chunk})
+                           .runConfigs(cfgs);
+            ASSERT_EQ(got.size(), reference.size());
+            for (size_t i = 0; i < reference.size(); ++i)
+                expectResultsIdentical(reference[i], got[i]);
+        }
     }
 }
 

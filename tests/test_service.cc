@@ -58,7 +58,7 @@ expectResultsIdentical(const std::vector<sim::SimResult> &got,
 }
 
 /** 8 configs over 4 trace groups (2 workloads x 2 seeds, 2 voltages
- *  each); batch=2 shards them into 4 shards of 2 items. */
+ *  each); a chunk size of 2 shards them into 4 shards of 2 items. */
 std::vector<sim::SimConfig>
 smallConfigs()
 {
@@ -250,6 +250,16 @@ TEST(ShardManifest, DeterministicAndConfigSensitive)
     // ... and so does the call ordinal.
     std::vector<Shard> d = buildManifest(configs, 2, 1).shards;
     EXPECT_NE(d[0].stem, a[0].stem);
+
+    // profile= is a host-only observer (invariant 6): toggling it
+    // must keep every stem, so resume= still finds the spools.
+    std::vector<sim::SimConfig> profiled = configs;
+    for (sim::SimConfig &cfg : profiled)
+        cfg.profile = true;
+    std::vector<Shard> e = buildManifest(profiled, 2, 0).shards;
+    ASSERT_EQ(e.size(), a.size());
+    for (size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(e[i].stem, a[i].stem);
 }
 
 class ServiceRunTest : public ::testing::Test

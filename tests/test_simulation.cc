@@ -46,6 +46,25 @@ TEST(Simulation, WarmupExcludedFromStats)
     EXPECT_EQ(rw.pipeline.committedInsts, 20000u);
 }
 
+TEST(Simulation, FillBufferAllocatesPastCompletedFill)
+{
+    // In this run a TLB-miss penalty or an IRAW guard stall moves a
+    // fill-buffer allocation past a completed but not yet retired
+    // fill with every entry still valid; allocate() must take that
+    // entry, as full() counts it free, instead of panicking with
+    // "fill buffer fb: allocate() with no free entry".
+    Simulator s;
+    SimConfig cfg;
+    cfg.workload = "spec2006int";
+    cfg.seed = 12;
+    cfg.instructions = 60000;
+    cfg.warmupInstructions = 40000;
+    cfg.vcc = 500;
+    SimResult r = s.run(cfg);
+    EXPECT_EQ(r.pipeline.committedInsts, 60000u);
+    EXPECT_TRUE(r.settings.enabled);
+}
+
 TEST(Simulation, DramCyclesScaleWithFrequency)
 {
     // Constant nanosecond DRAM latency: more cycles at the faster

@@ -3,7 +3,7 @@
 
 The repo's central claim (docs/ARCHITECTURE.md, "Determinism
 invariants") is that every optimisation layer is bitwise invisible:
-threads=1 == threads=N, batch=1 == batch=B, tracestore on == off,
+threads=1 == threads=N, tracestore on == off,
 profile on == off, and all randomness a pure function of explicit
 seeds.  Runtime diff tests enforce that claim end to end; this linter
 enforces the *source patterns* that keep it true, so a violation is
@@ -25,7 +25,7 @@ Rules (each maps to a numbered invariant in docs/ARCHITECTURE.md):
                        banned everywhere in src/: all randomness flows
                        through the seeded generators in common/rng.hh
                        as a pure function of explicit seeds.
-  unordered-iter       Invariants 2+3 (thread/batch invariance).
+  unordered-iter       Invariant 2 (thread-count invariance).
                        Files that fold reductions or write stats
                        output must not iterate unordered_map/
                        unordered_set: bucket order is
@@ -315,7 +315,7 @@ def lint_file(path, relpath, text):
             if name in unordered_vars:
                 flag(i, "unordered-iter",
                      "iteration over unordered container '%s' in a "
-                     "reduction/stats file (invariants 2+3: bucket "
+                     "reduction/stats file (invariant 2: bucket "
                      "order can leak into output order); use "
                      "std::map or sort first" % name)
 
