@@ -25,7 +25,6 @@ struct IqEntry
 {
     isa::MicroOp op;
     memory::Cycle allocCycle = 0;
-    memory::Cycle fetchCycle = 0;
     bool predictedTaken = false;
     bool mispredicted = false;
     bool isDrainNop = false; //!< injected for IQ draining (Sec. 4.2)

@@ -391,7 +391,6 @@ Pipeline::fetchStage()
                                  /*isWrongPath=*/true);
             wp.op = isa::makeNop(0, 0);
             wp.allocCycle = _cycle;
-            wp.fetchCycle = _cycle;
         }
         return;
     }
@@ -442,7 +441,6 @@ Pipeline::fetchStage()
                                      /*isWrongPath=*/false);
                 nop.op = isa::makeNop(++_nopSeq, 0);
                 nop.allocCycle = _cycle;
-                nop.fetchCycle = _cycle;
                 ++_nopsInjected;
                 continue;
             }
@@ -466,7 +464,6 @@ Pipeline::fetchStage()
         IqEntry &entry = _iq.allocateBack();
         entry.op = *op;
         entry.allocCycle = _cycle;
-        entry.fetchCycle = _cycle;
 
         // Branch prediction.
         if (op->isBranch()) {

@@ -18,11 +18,20 @@
 namespace iraw {
 namespace isa {
 
-/** One dynamic micro-operation. */
+/**
+ * One dynamic micro-operation.  The 8-byte fields come first and the
+ * 1-byte ones after them, so the struct packs into 40 bytes: a trace
+ * store keeps every replayed op resident in this form.
+ */
 struct MicroOp
 {
     uint64_t seqNum = 0;  //!< dynamic sequence number (1-based)
     uint64_t pc = 0;      //!< virtual program counter
+
+    // Outcomes: memAddr/memSize are valid iff isMemOp(opClass),
+    // target/taken iff isControlOp(opClass).
+    uint64_t memAddr = 0;
+    uint64_t target = 0;
 
     OpClass opClass = OpClass::Nop;
 
@@ -30,12 +39,7 @@ struct MicroOp
     RegId src1 = kInvalidReg; //!< first source (if any)
     RegId src2 = kInvalidReg; //!< second source (if any)
 
-    // Memory-op outcome (valid iff isMemOp(opClass)).
-    uint64_t memAddr = 0;
     uint8_t memSize = 0; //!< access size in bytes (1/2/4/8)
-
-    // Control-op outcome (valid iff isControlOp(opClass)).
-    uint64_t target = 0;
     bool taken = false;
 
     bool hasDst() const { return isValidReg(dst); }

@@ -43,16 +43,6 @@ TraceWriter::append(const isa::MicroOp &op)
 }
 
 void
-TraceWriter::appendPacked(const uint8_t *data, uint64_t records)
-{
-    panicIf(_closed, "TraceWriter: append after close");
-    _out.write(reinterpret_cast<const char *>(data),
-               static_cast<std::streamsize>(records *
-                                            kTraceRecordBytes));
-    _count += records;
-}
-
-void
 TraceWriter::close()
 {
     if (_closed)

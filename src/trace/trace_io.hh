@@ -46,13 +46,6 @@ class TraceWriter
     /** Append one record. */
     void append(const isa::MicroOp &op);
 
-    /**
-     * Append @p records pre-packed records (kTraceRecordBytes each,
-     * the same layout append() writes) byte-for-byte — the fast path
-     * for flushing an in-memory TraceBuffer.
-     */
-    void appendPacked(const uint8_t *data, uint64_t records);
-
     /** Finalize the header (record count) and close the file. */
     void close();
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * The packed micro-op record: one fixed-width, endian-explicit
- * encoding shared by the binary trace files (trace_io) and the
- * in-memory trace store (trace_store).  Everything is little-endian
- * so dumped traces are portable across hosts and an in-memory buffer
- * can be flushed to disk byte-for-byte.
+ * The packed micro-op record: the fixed-width, endian-explicit
+ * encoding of one micro-op in a binary trace file (trace_io).
+ * Everything is little-endian so dumped traces are portable across
+ * hosts.  It is the file format only: the in-memory trace store holds
+ * decoded isa::MicroOp values.
  */
 
 #ifndef IRAW_TRACE_TRACE_RECORD_HH

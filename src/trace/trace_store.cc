@@ -15,44 +15,24 @@
 #include "obs/event_tracer.hh"
 #include "trace/generator.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_record.hh"
 
 namespace iraw {
 namespace trace {
 
 namespace fs = std::filesystem;
 
-TraceBuffer::TraceBuffer(std::string name, std::vector<uint8_t> data)
-    : _name(std::move(name)), _data(std::move(data)),
-      _records(_data.size() / kTraceRecordBytes)
+TraceBuffer::TraceBuffer(std::string name, std::vector<isa::MicroOp> ops)
+    : _name(std::move(name)), _ops(std::move(ops))
 {
-    panicIf(_data.size() % kTraceRecordBytes != 0,
-            "TraceBuffer '%s': %zu bytes is not a whole number of "
-            "records",
-            _name.c_str(), _data.size());
 }
 
-isa::MicroOp
+const isa::MicroOp &
 TraceBuffer::at(uint64_t index) const
 {
-    panicIf(index >= _records,
+    panicIf(index >= _ops.size(),
             "TraceBuffer '%s': record %llu out of range",
             _name.c_str(), static_cast<unsigned long long>(index));
-    isa::MicroOp op;
-    unpackRecord(_data.data() + index * kTraceRecordBytes, op);
-    return op;
-}
-
-const isa::MicroOp *
-TraceBuffer::ops() const
-{
-    std::call_once(_decodeOnce, [this] {
-        _decoded.resize(_records);
-        for (uint64_t i = 0; i < _records; ++i)
-            unpackRecord(_data.data() + i * kTraceRecordBytes,
-                         _decoded[i]);
-    });
-    return _decoded.data();
+    return _ops[index];
 }
 
 ReplayTraceSource::ReplayTraceSource(TraceBufferPtr buffer)
@@ -90,32 +70,22 @@ materializeSynthetic(const WorkloadProfile &profile, uint64_t seed,
 {
     fatalIf(length == 0, "materializeSynthetic: zero length");
     SyntheticTraceGenerator gen(profile, seed, length);
-    std::vector<uint8_t> data;
-    data.resize(length * kTraceRecordBytes);
-    uint64_t n = 0;
-    while (auto op = gen.next()) {
-        packRecord(*op, data.data() + n * kTraceRecordBytes);
-        ++n;
-    }
-    data.resize(n * kTraceRecordBytes);
-    return std::make_shared<TraceBuffer>(gen.name(),
-                                         std::move(data));
+    std::vector<isa::MicroOp> ops;
+    ops.reserve(length);
+    while (auto op = gen.next())
+        ops.push_back(*op);
+    return std::make_shared<TraceBuffer>(gen.name(), std::move(ops));
 }
 
 TraceBufferPtr
 materializeFile(const std::string &path)
 {
     TraceReader reader(path);
-    std::vector<uint8_t> data;
-    data.resize(reader.recordCount() * kTraceRecordBytes);
-    uint64_t n = 0;
-    while (auto op = reader.next()) {
-        packRecord(*op, data.data() + n * kTraceRecordBytes);
-        ++n;
-    }
-    data.resize(n * kTraceRecordBytes);
-    return std::make_shared<TraceBuffer>(reader.name(),
-                                         std::move(data));
+    std::vector<isa::MicroOp> ops;
+    ops.reserve(reader.recordCount());
+    while (auto op = reader.next())
+        ops.push_back(*op);
+    return std::make_shared<TraceBuffer>(reader.name(), std::move(ops));
 }
 
 namespace {
@@ -383,18 +353,30 @@ TraceStore::acquireSynthetic(const WorkloadProfile &profile,
         TraceBufferPtr buffer =
             materializeSynthetic(profile, seed, length);
         // Write-then-rename so concurrent processes sharing the
-        // cache directory never observe a half-written trace.
+        // cache directory never observe a half-written trace.  The
+        // cache only saves regeneration, so a failed publish
+        // (unwritable directory, full disk) warns, drops the
+        // temporary and keeps the trace already in hand.
         const std::string tmp =
             path + ".tmp." + std::to_string(::getpid());
-        TraceWriter writer(tmp);
-        writer.appendPacked(buffer->data().data(),
-                            buffer->records());
-        writer.close();
-        std::error_code ec;
-        fs::rename(tmp, path, ec);
-        if (ec) {
+        std::string error;
+        try {
+            TraceWriter writer(tmp);
+            const isa::MicroOp *ops = buffer->ops();
+            for (uint64_t i = 0; i < buffer->records(); ++i)
+                writer.append(ops[i]);
+            writer.close();
+            std::error_code ec;
+            fs::rename(tmp, path, ec);
+            if (ec)
+                error = ec.message();
+        } catch (const FatalError &e) {
+            error = e.what();
+        }
+        if (!error.empty()) {
             warn("TraceStore: cannot publish '%s': %s", path.c_str(),
-                 ec.message().c_str());
+                 error.c_str());
+            std::error_code ec;
             fs::remove(tmp, ec);
         }
         return buffer;

@@ -6,19 +6,21 @@
  * for every (voltage, machine) point — hundreds of points per sweep.
  * Regenerating the synthetic trace per point wastes most of the hot
  * path, so the store materializes each distinct trace exactly once
- * into an immutable, shareable buffer of packed records and hands
+ * into an immutable, shareable buffer of decoded micro-ops and hands
  * concurrent sweep workers a cheap cursor (ReplayTraceSource) over
  * it:
  *
  *  - generation is once-per-key and thread-safe: the first worker to
  *    request a key materializes it, later workers block only until
  *    that first materialization finishes;
- *  - the in-memory footprint is bounded by an LRU byte cap (evicted
- *    buffers stay alive for workers still holding them — eviction
- *    only drops the store's reference);
+ *  - the resident footprint (records x sizeof(isa::MicroOp)) is
+ *    bounded by an LRU byte cap (evicted buffers stay alive for
+ *    workers still holding them — eviction only drops the store's
+ *    reference);
  *  - an optional disk layer round-trips buffers through the
  *    TraceWriter/TraceReader binary format, so traces persist across
  *    processes and real-workload trace files plug in as scenarios.
+ *    Records are packed only there, at the file boundary.
  */
 
 #ifndef IRAW_TRACE_TRACE_STORE_HH
@@ -30,7 +32,6 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,45 +47,32 @@ class EventTracer;
 
 namespace trace {
 
-/** An immutable trace: packed records in one flat buffer. */
+/**
+ * An immutable trace: the decoded micro-ops the pipeline replays, held
+ * once and shared by every cursor over it.  The 38-byte packed record
+ * (trace/trace_record.hh) is the file format only; in memory each op
+ * costs sizeof(isa::MicroOp).
+ */
 class TraceBuffer
 {
   public:
-    TraceBuffer(std::string name, std::vector<uint8_t> data);
+    TraceBuffer(std::string name, std::vector<isa::MicroOp> ops);
 
     /** Record count. */
-    uint64_t records() const { return _records; }
-    /** Payload footprint in bytes. */
-    uint64_t bytes() const { return _data.size(); }
+    uint64_t records() const { return _ops.size(); }
+    /** Resident footprint in bytes: what the store's byte cap bounds. */
+    uint64_t bytes() const { return _ops.size() * sizeof(isa::MicroOp); }
     const std::string &name() const { return _name; }
 
-    /** Decode record @p index (must be < records()). */
-    isa::MicroOp at(uint64_t index) const;
+    /** Record @p index (must be < records()). */
+    const isa::MicroOp &at(uint64_t index) const;
 
-    /**
-     * Decoded micro-ops, materialized once on first use and shared
-     * by every cursor over this buffer.  A Vcc sweep replays the
-     * same buffer for dozens of operating points; decoding each
-     * record once — instead of once per (point, record) — takes the
-     * unpack out of the fetch hot path entirely.  Thread-safe; the
-     * returned array is stable for the buffer's lifetime.
-     */
-    const isa::MicroOp *ops() const;
-
-    /** Raw packed records (for dumping to disk). */
-    const std::vector<uint8_t> &data() const { return _data; }
+    /** The micro-ops; the array is stable for the buffer's lifetime. */
+    const isa::MicroOp *ops() const { return _ops.data(); }
 
   private:
     std::string _name;
-    std::vector<uint8_t> _data;
-    uint64_t _records = 0;
-    // Decode-once state: _decoded is written exactly once inside
-    // std::call_once(_decodeOnce) and read-only ever after; the
-    // call_once fence publishes it to every thread (clang TSA does
-    // not model call_once, so this is documented rather than
-    // annotated — TSan checks it in the 16-thread store test).
-    mutable std::once_flag _decodeOnce;
-    mutable std::vector<isa::MicroOp> _decoded;
+    std::vector<isa::MicroOp> _ops;
 };
 
 using TraceBufferPtr = std::shared_ptr<const TraceBuffer>;

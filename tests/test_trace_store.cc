@@ -1,8 +1,9 @@
 /** @file
  * The generate-once trace store: replay fidelity, once-per-key
- * thread-safe materialization, LRU byte-cap eviction, the disk-cache
- * layer, and bitwise determinism of sweep aggregates with the store
- * on vs off and across thread counts.
+ * thread-safe materialization, resident-byte accounting and LRU
+ * byte-cap eviction, the disk-cache layer, and bitwise determinism of
+ * sweep aggregates with the store on vs off, through the disk cache
+ * and across thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +19,28 @@
 #include "sim/runner.hh"
 #include "trace/generator.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_record.hh"
 #include "trace/trace_store.hh"
 
 namespace iraw {
 namespace trace {
 namespace {
+
+// The store keeps each trace resident as records x sizeof(MicroOp),
+// so this size is a sweep's trace memory.  Field order matters:
+// 1-byte fields placed between the 8-byte ones pad it to 56.
+static_assert(sizeof(isa::MicroOp) == 40,
+              "MicroOp is the resident trace format: keep it 40 bytes");
+
+/** @p buffer's ops in the file encoding: a bitwise view for equality. */
+std::vector<uint8_t>
+packed(const TraceBuffer &buffer)
+{
+    std::vector<uint8_t> bytes(buffer.records() * kTraceRecordBytes);
+    for (uint64_t i = 0; i < buffer.records(); ++i)
+        packRecord(buffer.ops()[i], bytes.data() + i * kTraceRecordBytes);
+    return bytes;
+}
 
 TEST(TraceBuffer, ReplayMatchesLiveGenerator)
 {
@@ -71,10 +89,13 @@ TEST(TraceStore, HitMissAccounting)
     EXPECT_EQ(stats.bytesInUse, a->bytes());
 
     // A different length is a different trace.
-    store.acquireSynthetic(profile, 1, 2000);
+    TraceBufferPtr c = store.acquireSynthetic(profile, 1, 2000);
     stats = store.stats();
     EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.buffers, 2u);
+    // The cap accounts what is resident: decoded ops, nothing else.
+    EXPECT_EQ(stats.bytesInUse,
+              (a->records() + c->records()) * sizeof(isa::MicroOp));
 }
 
 TEST(TraceStore, ConcurrentAcquiresMaterializeOnce)
@@ -102,11 +123,11 @@ TEST(TraceStore, ConcurrentAcquiresMaterializeOnce)
 TEST(TraceStore, SixteenThreadOncePerKeyHammer)
 {
     // Regression lock on the double-checked materialization path
-    // (trace_store.cc acquire(): registration under _mutex, decode
-    // outside it, promise/shared_future publication).  16 threads
-    // race over 4 distinct keys in rotated order while also polling
-    // stats(); each key must materialize exactly once and every
-    // winner/waiter must see the same buffer.
+    // (trace_store.cc acquire(): registration under _mutex,
+    // materialization outside it, promise/shared_future
+    // publication).  16 threads race over 4 distinct keys in rotated
+    // order while also polling stats(); each key must materialize
+    // exactly once and every winner/waiter must see the same buffer.
     TraceStore store;
     const WorkloadProfile &profile = profileByName("spec2006int");
     constexpr unsigned kThreads = 16;
@@ -153,8 +174,7 @@ TEST(TraceStore, LruEvictsAtByteCap)
 {
     const WorkloadProfile &profile = profileByName("multimedia");
     const uint64_t length = 1000;
-    const uint64_t bytesPer =
-        materializeSynthetic(profile, 1, length)->bytes();
+    const uint64_t bytesPer = length * sizeof(isa::MicroOp);
 
     // Room for two buffers, not three.
     TraceStore::Config cfg;
@@ -191,7 +211,7 @@ TEST(TraceStore, EvictedBufferStaysAliveForHolders)
     TraceBufferPtr held = store.acquireSynthetic(profile, 1, 500);
     store.acquireSynthetic(profile, 2, 500);
     EXPECT_EQ(store.stats().evictions, 1u);
-    // The store dropped its reference; ours still decodes.
+    // The store dropped its reference; ours still reads.
     EXPECT_EQ(held->records(), 500u);
     EXPECT_EQ(held->at(0).seqNum, 1u);
 }
@@ -235,7 +255,7 @@ TEST_F(TraceStoreDiskTest, DiskCacheRoundTrip)
     EXPECT_EQ(stats.diskHits, 1u);
 
     ASSERT_EQ(cached->records(), fresh->records());
-    EXPECT_EQ(cached->data(), fresh->data());
+    EXPECT_EQ(packed(*cached), packed(*fresh));
 }
 
 TEST_F(TraceStoreDiskTest, CorruptCacheFileDeletedAndRegenerated)
@@ -265,14 +285,47 @@ TEST_F(TraceStoreDiskTest, CorruptCacheFileDeletedAndRegenerated)
     TraceStore::Stats stats = store2.stats();
     EXPECT_EQ(stats.diskHits, 0u);
     EXPECT_EQ(stats.diskBadFiles, 1u);
-    EXPECT_EQ(regen->data(), fresh->data());
+    EXPECT_EQ(packed(*regen), packed(*fresh));
 
     // The republished file serves a third store from disk.
     TraceStore store3(cfg);
-    EXPECT_EQ(store3.acquireSynthetic(profile, 9, 4000)->data(),
-              fresh->data());
+    EXPECT_EQ(packed(*store3.acquireSynthetic(profile, 9, 4000)),
+              packed(*fresh));
     EXPECT_EQ(store3.stats().diskHits, 1u);
     EXPECT_EQ(store3.stats().diskBadFiles, 0u);
+}
+
+TEST_F(TraceStoreDiskTest, FailedPublishKeepsTheTrace)
+{
+    namespace fs = std::filesystem;
+    const WorkloadProfile &profile = profileByName("server");
+    TraceStore::Config cfg;
+    cfg.diskDir = _dir;
+    {
+        TraceStore store(cfg);
+        store.acquireSynthetic(profile, 5, 3000);
+    }
+    fs::path published;
+    for (const auto &entry : fs::directory_iterator(_dir))
+        published = entry.path();
+    ASSERT_FALSE(published.empty());
+
+    // Drop the cache file and put a directory where the next
+    // publish writes its temporary, so the TraceWriter cannot open
+    // it -- as an unwritable directory or a full disk would fail.
+    fs::remove(published);
+    fs::create_directory(published.string() + ".tmp." +
+                         std::to_string(::getpid()));
+
+    TraceStore store2(cfg);
+    TraceBufferPtr buffer;
+    ASSERT_NO_THROW(buffer = store2.acquireSynthetic(profile, 5, 3000));
+    EXPECT_EQ(packed(*buffer),
+              packed(*materializeSynthetic(profile, 5, 3000)));
+    EXPECT_EQ(store2.stats().diskHits, 0u);
+    // Nothing was published and no temporary was left behind.
+    for (const auto &entry : fs::directory_iterator(_dir))
+        EXPECT_FALSE(entry.is_regular_file()) << entry.path();
 }
 
 TEST_F(TraceStoreDiskTest, StaleTmpLeftoversSweptAtConstruction)
@@ -391,6 +444,36 @@ TEST(TraceStoreSweep, StoreOnOffAggregatesBitwiseIdentical)
     auto stats = stored.traceStore()->stats();
     EXPECT_EQ(stats.misses, 3u);
     EXPECT_EQ(stats.hits, 3u * 3u - 3u);
+}
+
+TEST(TraceStoreSweep, DiskCacheAggregatesBitwiseIdentical)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = ::testing::TempDir() + "iraw_store_sweep";
+    fs::remove_all(dir);
+    trace::TraceStore::Config cfg;
+    cfg.diskDir = dir;
+
+    Simulator plain;
+    auto off = SweepRunner(plain).runMachines(smallSweep(),
+                                              smallPoints());
+
+    // Two fresh stores on one directory, as two processes would
+    // see it: the first generates and publishes every trace, the
+    // second must replay all of them from disk.
+    for (int process = 0; process < 2; ++process) {
+        Simulator cached;
+        cached.setTraceStore(std::make_shared<trace::TraceStore>(cfg));
+        auto on = SweepRunner(cached).runMachines(smallSweep(),
+                                                  smallPoints());
+        expectMachinesBitwiseEqual(off, on);
+
+        auto stats = cached.traceStore()->stats();
+        EXPECT_GT(stats.misses, 0u);
+        EXPECT_EQ(stats.diskHits, process == 0 ? 0u : stats.misses)
+            << "store " << process;
+    }
+    fs::remove_all(dir);
 }
 
 TEST(TraceStoreSweep, CrossThreadAggregatesBitwiseIdentical)
