@@ -150,7 +150,7 @@ runMicroPipelineTick(sim::ScenarioContext &ctx)
         cfg.mode = pt.mode;
         // One untimed pass warms the trace store and allocator.
         sim.run(cfg);
-        // Throughput is measured without the per-stage timers (three
+        // Throughput is measured without the per-stage timers (two
         // clock-read pairs per cycle distort Minsts/s); a separate
         // profiled run contributes the stage breakdown.
         sim::SimResult timed = sim.run(cfg);
@@ -164,7 +164,7 @@ runMicroPipelineTick(sim::ScenarioContext &ctx)
                     std::to_string(insts) + " insts + " +
                     std::to_string(warmup) + " warmup per run)");
     table.setHeader({"point", "IPC", "cycles", "wall ms",
-                     "Minsts/s", "events%", "issue%", "fetch%"});
+                     "Minsts/s", "issue%", "fetch%"});
     for (size_t i = 0; i < results.size(); ++i) {
         const sim::SimResult &r = results[i];
         const double totalNs =
@@ -180,7 +180,6 @@ runMicroPipelineTick(sim::ScenarioContext &ctx)
             std::to_string(r.pipeline.cycles),
             TextTable::num(r.host.wallSeconds * 1e3, 1),
             TextTable::num(r.host.minstsPerSecond(), 2),
-            TextTable::num(pct(StageProfiler::Stage::Events), 1),
             TextTable::num(pct(StageProfiler::Stage::Issue), 1),
             TextTable::num(pct(StageProfiler::Stage::Fetch), 1),
         });

@@ -10,20 +10,26 @@
 # `ctest -C golden_update`) rewrites the golden file from the
 # current output instead of diffing.
 #
-# Differ mode (no golden file involved):
-#   cmake -DBIN=<binary> -DARGS="..." -DARGS2="..." -DEXPECT_DIFFER=1
+# Pair mode (no golden file involved):
+#   cmake -DBIN=<binary> -DARGS="..." -DARGS2="..." [-DEXPECT_DIFFER=1]
 #         -DOUT=<scratch> -P RunGolden.cmake
-# runs the binary twice and fails if both stdouts are byte-identical
-# — the guard that an option actually changes behaviour (e.g.
-# policy=explore vs policy=static must not print the same table).
+# runs the binary twice and fails unless both stdouts are
+# byte-identical — an equivalence invariant (e.g. threads=1 vs
+# threads=8).  With -DEXPECT_DIFFER=1 it fails if they are
+# byte-identical — the guard that an option actually changes
+# behaviour (e.g. policy=explore vs policy=static must not print the
+# same table).
 
 if(NOT DEFINED BIN OR NOT DEFINED OUT)
     message(FATAL_ERROR "RunGolden.cmake needs -DBIN= and -DOUT=")
 endif()
-if(NOT EXPECT_DIFFER AND NOT DEFINED GOLDEN)
+if(NOT DEFINED ARGS2 AND NOT DEFINED GOLDEN)
     message(FATAL_ERROR
-            "RunGolden.cmake needs -DGOLDEN= (or -DEXPECT_DIFFER=1 "
-            "with -DARGS2=)")
+            "RunGolden.cmake needs -DGOLDEN= (or -DARGS2= for a "
+            "pair check)")
+endif()
+if(EXPECT_DIFFER AND NOT DEFINED ARGS2)
+    message(FATAL_ERROR "EXPECT_DIFFER needs -DARGS2=")
 endif()
 
 separate_arguments(ARG_LIST UNIX_COMMAND "${ARGS}")
@@ -35,24 +41,29 @@ if(NOT rc EQUAL 0)
             "golden run failed (rc=${rc}): ${BIN} ${ARGS}")
 endif()
 
-if(EXPECT_DIFFER)
-    if(NOT DEFINED ARGS2)
-        message(FATAL_ERROR "EXPECT_DIFFER needs -DARGS2=")
-    endif()
+if(DEFINED ARGS2)
     separate_arguments(ARG2_LIST UNIX_COMMAND "${ARGS2}")
     execute_process(COMMAND ${BIN} ${ARG2_LIST}
                     OUTPUT_VARIABLE output2
                     RESULT_VARIABLE rc2)
     if(NOT rc2 EQUAL 0)
         message(FATAL_ERROR
-                "differ run failed (rc=${rc2}): ${BIN} ${ARGS2}")
+                "pair run failed (rc=${rc2}): ${BIN} ${ARGS2}")
     endif()
-    if(output STREQUAL output2)
+    if(EXPECT_DIFFER AND output STREQUAL output2)
         file(WRITE "${OUT}" "${output}")
         message(FATAL_ERROR
                 "`${BIN} ${ARGS}` and `${BIN} ${ARGS2}` printed "
                 "byte-identical output (${OUT}); the differing "
                 "option is being ignored")
+    endif()
+    if(NOT EXPECT_DIFFER AND NOT output STREQUAL output2)
+        file(WRITE "${OUT}" "${output}")
+        file(WRITE "${OUT}.2" "${output2}")
+        message(FATAL_ERROR
+                "`${BIN} ${ARGS}` and `${BIN} ${ARGS2}` must print "
+                "byte-identical output but differ:\n  diff ${OUT} "
+                "${OUT}.2")
     endif()
     return()
 endif()

@@ -74,7 +74,6 @@ Pipeline::Pipeline(const CoreConfig &cfg,
             static_cast<unsigned long long>(il0Line));
     _il0LineShift = floorLog2(il0Line);
     _issueThrottle = _cfg.issueWidth;
-    _pendingWrites.assign(isa::kNumLogicalRegs, 0);
 }
 
 void
@@ -88,6 +87,8 @@ Pipeline::setIssueThrottle(uint32_t width)
 void
 Pipeline::applySettings(const mechanism::IrawSettings &settings)
 {
+    panicIf(writesInFlight(),
+            "Pipeline: applySettings with a register write in flight");
     _n = settings.enabled ? settings.stabilizationCycles : 0;
     fatalIf(_n > _cfg.maxStabilizationCycles,
             "Pipeline: N=%u exceeds the hardware's sized maximum %u",
@@ -97,25 +98,15 @@ Pipeline::applySettings(const mechanism::IrawSettings &settings)
     _stable.setActiveEntries(_n * _cfg.commitStoresPerCycle);
     _mem.setStabilizationCycles(_n);
     _bpCorruption.setStabilizationCycles(_n);
-
-    // Size the write-event wheel so every ordinary completion — up
-    // to a TLB walk plus an off-chip miss plus the encodable
-    // execution latency — lands inside the wheel; anything longer
-    // (chained stabilization stalls) goes to the overflow list.
-    const memory::MemoryConfig &mc = _mem.config();
-    memory::Cycle horizon =
-        _mem.dramLatencyCycles() + mc.ul1HitLatency +
-        mc.itlb.missPenalty + mc.dtlb.missPenalty +
-        mc.wcbDrainLatency + _cfg.loadMissForwardDelay +
-        _cfg.scoreboardBits + 64;
-    if (_writeWheel.empty() && horizon > _writeWheel.slots())
-        _writeWheel.resizeHorizon(horizon);
 }
 
 void
 Pipeline::applyStabilizationMaps(
     std::shared_ptr<const variation::StabilizationMaps> maps)
 {
+    panicIf(writesInFlight(),
+            "Pipeline: applyStabilizationMaps with a register write "
+            "in flight");
     fatalIf(!maps || !maps->active,
             "Pipeline: applyStabilizationMaps needs active maps "
             "(IRAW operation)");
@@ -148,8 +139,8 @@ Pipeline::reset()
     _bpCorruption.reset();
     _stats = PipelineStats{};
     _cycle = 0;
-    _writeWheel.clear();
-    _pendingWrites.assign(isa::kNumLogicalRegs, 0);
+    _writeDoneAt.fill(0);
+    _lastWriteDone = 0;
     _nextOp.reset();
     _peek = nullptr;
     _traceDone = false;
@@ -184,16 +175,15 @@ Pipeline::sourcesReady(const MicroOp &op, BlockReason &reason) const
 void
 Pipeline::setDestination(isa::RegId dst, uint32_t latency)
 {
-    if (latency <= _scoreboard.maxEncodableLatency()) {
+    // Every latency is at least 1, so a write never completes in
+    // the cycle it issues.
+    const Cycle done = _cycle + latency;
+    if (latency <= _scoreboard.maxEncodableLatency())
         _scoreboard.setProducer(dst, latency);
-        _writeWheel.schedule(_cycle, _cycle + latency,
-                             InflightWrite{dst, false});
-    } else {
-        _scoreboard.setLongLatencyProducer(dst);
-        _writeWheel.schedule(_cycle, _cycle + latency,
-                             InflightWrite{dst, true});
-    }
-    ++_pendingWrites[dst];
+    else
+        _scoreboard.setLongLatencyProducer(dst, done);
+    _writeDoneAt[dst] = done;
+    _lastWriteDone = std::max(_lastWriteDone, done);
 }
 
 void
@@ -277,7 +267,7 @@ Pipeline::tryIssue(IqEntry &entry, bool &issued)
         return reason;
 
     // WAW: a previous in-flight writer of the destination.
-    if (op.hasDst() && _pendingWrites[op.dst] > 0)
+    if (op.hasDst() && _writeDoneAt[op.dst] > _cycle)
         return BlockReason::Waw;
 
     if (!_units.canIssue(op.opClass, _cycle))
@@ -544,20 +534,6 @@ Pipeline::tick()
     ++_cycle;
     _scoreboard.tick();
     _units.newCycle();
-
-    // Event wakeups and write completions scheduled for this cycle.
-    {
-        ScopedStageTimer t(_profiler, StageProfiler::Stage::Events);
-        _writeWheel.service(_cycle, [this](const InflightWrite &w) {
-            if (w.longLatency)
-                _scoreboard.completeLongLatency(w.dst);
-            panicIf(
-                _pendingWrites[w.dst] == 0,
-                "Pipeline: write completion without pending write");
-            --_pendingWrites[w.dst];
-        });
-    }
-
     {
         ScopedStageTimer t(_profiler, StageProfiler::Stage::Issue);
         issueStage();
@@ -604,7 +580,7 @@ Pipeline::runUntil(uint64_t maxInsts, memory::Cycle stopCycle)
 bool
 Pipeline::quiescedForSwitch() const
 {
-    return _iq.realEntries() == 0 && _writeWheel.empty();
+    return _iq.realEntries() == 0 && !writesInFlight();
 }
 
 uint64_t

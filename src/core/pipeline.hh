@@ -13,22 +13,23 @@
  *         determinism stalls or corruption injection (Sec. 4.5).
  *
  * The pipeline is trace-driven and cycle-driven: each tick runs
- * (in order) scoreboard shift, event wakeups, issue, fetch/allocate.
- * Allocation runs after issue, which enforces the 1-cycle minimum
- * between IQ write and IQ read.
+ * (in order) scoreboard shift, issue, fetch/allocate.  Allocation
+ * runs after issue, which enforces the 1-cycle minimum between IQ
+ * write and IQ read.  Register writes complete lazily: issue records
+ * each destination's completion cycle, and the scoreboard and the
+ * WAW check compare it with the current cycle.
  */
 
 #ifndef IRAW_CORE_PIPELINE_HH
 #define IRAW_CORE_PIPELINE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/rng.hh"
 #include "core/core_config.hh"
-#include "core/event_wheel.hh"
 #include "core/exec_units.hh"
 #include "core/instruction_queue.hh"
 #include "core/scoreboard.hh"
@@ -128,7 +129,9 @@ class Pipeline
     /**
      * Apply an operating point (Sec. 4.1.3 reconfiguration): sets N
      * on the scoreboard, IQ gate, STable, hierarchy guards and the
-     * prediction-block trackers.
+     * prediction-block trackers.  Requires no register write in
+     * flight (a fresh, reset or drained pipeline): a long-latency
+     * write's completion pattern was fixed at issue with the old N.
      */
     void applySettings(const mechanism::IrawSettings &settings);
 
@@ -140,7 +143,8 @@ class Pipeline
      * reconfigure to the chip's worst-case count — the hardware
      * provisions for the weakest line it must cover.  With an
      * all-nominal map (sigma = 0) results are bitwise identical to
-     * the unvaried machine.
+     * the unvaried machine.  Like applySettings(), requires no
+     * register write in flight.
      */
     void applyStabilizationMaps(
         std::shared_ptr<const variation::StabilizationMaps> maps);
@@ -227,12 +231,6 @@ class Pipeline
     }
 
   private:
-    struct InflightWrite
-    {
-        isa::RegId dst = isa::kInvalidReg;
-        bool longLatency = false;
-    };
-
     /** Reason the head of the IQ could not issue this cycle. */
     enum class BlockReason
     {
@@ -257,6 +255,9 @@ class Pipeline
     void setDestination(isa::RegId dst, uint32_t latency);
     bool sourcesReady(const isa::MicroOp &op,
                       BlockReason &reason) const;
+
+    /** Has some issued register write not completed yet? */
+    bool writesInFlight() const { return _lastWriteDone > _cycle; }
 
     /** Is a trace micro-op buffered ahead of the IQ? */
     bool
@@ -289,12 +290,11 @@ class Pipeline
     uint32_t _issueThrottle = 0; //!< effective issue width
     uint64_t _instBudget = 0; //!< run() stops exactly at this count
 
-    // Event wakeups and WAW tracking.  The wheel replaces the old
-    // std::multimap<Cycle, InflightWrite>: no allocation per write,
-    // O(1) service per cycle; re-sized in applySettings() once the
-    // operating point's DRAM latency is known.
-    EventWheel<InflightWrite> _writeWheel;
-    std::vector<uint32_t> _pendingWrites; //!< per-register count
+    // Write completion: the cycle each register's last issued write
+    // completes (the WAW check allows one in flight per register),
+    // and the latest of them all (the drain's quiescence test).
+    std::array<memory::Cycle, isa::kNumLogicalRegs> _writeDoneAt{};
+    memory::Cycle _lastWriteDone = 0;
 
     StageProfiler *_profiler = nullptr;
 

@@ -55,7 +55,6 @@ Scoreboard::reset()
     _regs.assign(isa::kNumLogicalRegs, _ones);
     _shadow.assign(isa::kNumLogicalRegs, _ones);
     _setCycle.assign(isa::kNumLogicalRegs, 0);
-    _longLatency.assign(isa::kNumLogicalRegs, 0);
     _now = 0;
 }
 
@@ -79,7 +78,7 @@ Scoreboard::isReady(isa::RegId reg) const
 {
     panicIf(!isa::isValidReg(reg), "Scoreboard: bad register %u",
             reg);
-    if (_longLatency[reg])
+    if (awaitingLongLatency(reg))
         return false;
     return readyAt(_regs[reg], age(reg));
 }
@@ -89,7 +88,7 @@ Scoreboard::isReadyShadow(isa::RegId reg) const
 {
     panicIf(!isa::isValidReg(reg), "Scoreboard: bad register %u",
             reg);
-    if (_longLatency[reg])
+    if (awaitingLongLatency(reg))
         return false;
     return readyAt(_shadow[reg], age(reg));
 }
@@ -111,35 +110,25 @@ Scoreboard::setProducer(isa::RegId reg, uint32_t latency)
     _regs[reg] = _lut.producer(n, latency);
     _shadow[reg] = _lut.baseline(latency);
     _setCycle[reg] = _now;
-    _longLatency[reg] = 0;
 }
 
 void
-Scoreboard::setLongLatencyProducer(isa::RegId reg)
+Scoreboard::setLongLatencyProducer(isa::RegId reg, uint64_t readyCycle)
 {
     panicIf(!isa::isValidReg(reg), "Scoreboard: bad register %u",
             reg);
-    _regs[reg] = 0;
-    _shadow[reg] = 0;
-    _setCycle[reg] = _now;
-    _longLatency[reg] = 1;
-}
-
-void
-Scoreboard::completeLongLatency(isa::RegId reg)
-{
-    panicIf(!isa::isValidReg(reg), "Scoreboard: bad register %u",
-            reg);
-    panicIf(!_longLatency[reg],
-            "Scoreboard: completeLongLatency() without a pending "
-            "long-latency producer on r%u", reg);
-    // Value available this cycle: consumers may issue now (bypass)
-    // but not in the stabilization window that follows the RF write.
+    panicIf(readyCycle <= _now,
+            "Scoreboard: long-latency producer of r%u ready at cycle "
+            "%llu, not after the current cycle %llu",
+            reg, static_cast<unsigned long long>(readyCycle),
+            static_cast<unsigned long long>(_now));
+    // The pattern of a producer completing at readyCycle: consumers
+    // may issue then (bypass) but not in the stabilization window
+    // that follows the RF write.
     uint32_t n = stabilizationCyclesFor(reg);
     _regs[reg] = _lut.producer(n, 0);
     _shadow[reg] = _lut.baseline(0);
-    _setCycle[reg] = _now;
-    _longLatency[reg] = 0;
+    _setCycle[reg] = readyCycle;
 }
 
 bool
@@ -147,7 +136,7 @@ Scoreboard::quiescent(isa::RegId reg) const
 {
     panicIf(!isa::isValidReg(reg), "Scoreboard: bad register %u",
             reg);
-    return !_longLatency[reg] &&
+    return !awaitingLongLatency(reg) &&
            patternQuiescent(shiftedBy(_regs[reg], age(reg)), _bits);
 }
 
@@ -156,6 +145,8 @@ Scoreboard::rawPattern(isa::RegId reg) const
 {
     panicIf(!isa::isValidReg(reg), "Scoreboard: bad register %u",
             reg);
+    if (awaitingLongLatency(reg))
+        return 0;
     return shiftedBy(_regs[reg], age(reg));
 }
 

@@ -103,17 +103,15 @@ class Scoreboard
     void setProducer(isa::RegId reg, uint32_t latency);
 
     /**
-     * A producer with latency > B-1 issued (divide, load miss):
-     * the register reads not-ready until completeLongLatency().
+     * A producer whose latency exceeds maxEncodableLatency() issued
+     * (divide, load miss); its value is available at
+     * @p readyCycle, on the clock tick() and advance() drive.  The
+     * register reads not-ready until then, and from then on as a
+     * single-cycle producer completing that cycle (bypass ones, N
+     * zeros, trailing ones).  N is the one in force now: the
+     * pipeline reconfigures only with no write in flight.
      */
-    void setLongLatencyProducer(isa::RegId reg);
-
-    /**
-     * Event-driven wakeup: the long-latency producer's value is
-     * available this cycle (pattern as if it were a completing
-     * single-cycle producer: bypass ones, N zeros, trailing ones).
-     */
-    void completeLongLatency(isa::RegId reg);
+    void setLongLatencyProducer(isa::RegId reg, uint64_t readyCycle);
 
     /** True iff no producer is in flight for @p reg. */
     bool quiescent(isa::RegId reg) const;
@@ -147,6 +145,14 @@ class Scoreboard
         return _now - _setCycle[reg];
     }
 
+    /** A long-latency producer of @p reg has not yet completed: its
+     *  pattern only starts shifting at its ready cycle. */
+    bool
+    awaitingLongLatency(isa::RegId reg) const
+    {
+        return _now < _setCycle[reg];
+    }
+
     /** The stored pattern's MSB after @p shifts left-shifts (each
      *  replicating the LSB) — the hardware ready bit.  Bit B-1-k
      *  for k < B-1; every later cycle reads the replicated LSB. */
@@ -168,12 +174,12 @@ class Scoreboard
     uint32_t _n = 0;
 
     // Struct-of-arrays register state: parallel per-register arrays
-    // of the as-set real pattern, the as-set shadow pattern, the set
-    // cycle both ages from, and the long-latency flag.
+    // of the as-set real pattern, the as-set shadow pattern, and the
+    // cycle both age from (in the future while a long-latency
+    // producer is in flight).
     std::vector<mechanism::ReadyPattern> _regs;
     std::vector<mechanism::ReadyPattern> _shadow;
     std::vector<uint64_t> _setCycle;
-    std::vector<uint8_t> _longLatency; //!< awaiting event wakeup
 
     /** Per-register stabilization counts (empty = uniform _n). */
     std::vector<uint32_t> _lineN;

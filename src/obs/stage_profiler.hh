@@ -38,9 +38,8 @@ class StageProfiler
   public:
     enum class Stage : uint32_t
     {
-        Events = 0, //!< write-completion wheel service
-        Issue,      //!< issueStage()
-        Fetch,      //!< fetchStage()
+        Issue = 0, //!< issueStage()
+        Fetch,     //!< fetchStage()
         kCount,
     };
 
@@ -71,8 +70,6 @@ class StageProfiler
     stageName(Stage stage)
     {
         switch (stage) {
-          case Stage::Events:
-            return "events";
           case Stage::Issue:
             return "issue";
           case Stage::Fetch:

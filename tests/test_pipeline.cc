@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/pipeline.hh"
 #include "trace/generator.hh"
+#include "trace/trace_store.hh"
 #include "trace/workload.hh"
 
 namespace iraw {
@@ -39,6 +42,97 @@ struct Rig
         mem.setDramLatencyCycles(80);
     }
 };
+
+/** A pipeline replaying a hand-built trace. */
+struct ReplayRig
+{
+    memory::MemoryConfig memCfg;
+    CoreConfig coreCfg;
+    trace::ReplayTraceSource src;
+    memory::MemoryHierarchy mem;
+    Pipeline pipe;
+
+    explicit ReplayRig(std::vector<isa::MicroOp> ops)
+        : src(std::make_shared<const trace::TraceBuffer>(
+              "hand-built", std::move(ops))),
+          mem(memCfg), pipe(coreCfg, mem, src)
+    {
+        mem.setDramLatencyCycles(80);
+    }
+};
+
+/** Register-to-register op @p seq of class @p cls: dst <- src1. */
+isa::MicroOp
+regOp(uint64_t seq, isa::OpClass cls, isa::RegId dst, isa::RegId src1)
+{
+    isa::MicroOp op;
+    op.seqNum = seq;
+    op.pc = 0x1000 + 4 * (seq - 1);
+    op.opClass = cls;
+    op.dst = dst;
+    op.src1 = src1;
+    return op;
+}
+
+TEST(PipelineTest, WriteCompletionTimingOnHandBuiltTrace)
+{
+    // A 20-cycle divide into r5 (beyond every N's maxEncodableLatency),
+    // a consumer of r5, then a second writer of r5 (WAW).  Pins the
+    // cycle a long-latency write wakes its consumer, the cycle a
+    // pending write stops blocking the next writer, and the cycle
+    // the last write completes.
+    const std::vector<isa::MicroOp> ops = {
+        regOp(1, isa::OpClass::IntDiv, 5, 1),
+        regOp(2, isa::OpClass::IntAlu, 6, 5),
+        regOp(3, isa::OpClass::IntAlu, 5, 2),
+    };
+    struct Expected
+    {
+        uint32_t n = 0;
+        uint64_t cycles = 0, raw = 0, waw = 0, rfIraw = 0, quiescedAt = 0;
+    };
+    const Expected expected[] = {
+        {0, 134, 19, 0, 0, 135},
+        {2, 136, 19, 0, 0, 137},
+    };
+    for (const Expected &want : expected) {
+        SCOPED_TRACE("N=" + std::to_string(want.n));
+        ReplayRig rig(ops);
+        rig.pipe.applySettings(settings(want.n > 0, want.n));
+        ASSERT_GT(rig.coreCfg.latencies.latency(isa::OpClass::IntDiv),
+                  rig.pipe.scoreboard().maxEncodableLatency());
+        const PipelineStats &s = rig.pipe.run(100);
+        EXPECT_EQ(s.committedInsts, 3u);
+        EXPECT_EQ(s.cycles, want.cycles);
+        EXPECT_EQ(s.rawStallCycles, want.raw);
+        EXPECT_EQ(s.wawStallCycles, want.waw);
+        EXPECT_EQ(s.rfIrawStallCycles, want.rfIraw);
+        EXPECT_FALSE(rig.pipe.quiescedForSwitch())
+            << "the WAW writer's write is still in flight";
+        rig.pipe.drainQuiesce(100);
+        EXPECT_TRUE(rig.pipe.quiescedForSwitch());
+        EXPECT_EQ(rig.pipe.currentCycle(), want.quiescedAt);
+    }
+}
+
+TEST(PipelineTest, ReconfigurationRequiresNoWriteInFlight)
+{
+    // The scoreboard fixes a long-latency write's completion pattern
+    // (and its N) at issue, so N may change only while quiesced.
+    ReplayRig rig({regOp(1, isa::OpClass::IntDiv, 5, 1)});
+    rig.pipe.applySettings(settings(true, 1));
+    rig.pipe.run(1);
+    EXPECT_THROW(rig.pipe.applySettings(settings(true, 2)),
+                 PanicError);
+    EXPECT_THROW(rig.pipe.applyStabilizationMaps(nullptr),
+                 PanicError);
+    rig.pipe.drainQuiesce(2);
+    ASSERT_TRUE(rig.pipe.quiescedForSwitch());
+    EXPECT_NO_THROW(rig.pipe.applySettings(settings(true, 2)));
+    // Past the in-flight check: null maps are a configuration error.
+    EXPECT_THROW(rig.pipe.applyStabilizationMaps(nullptr),
+                 FatalError);
+}
 
 TEST(PipelineTest, RunsToCompletion)
 {

@@ -124,6 +124,31 @@ TEST(SweepRunner, AggregatesAreBitwiseIdenticalAcrossThreadCounts)
     }
 }
 
+// At voltages where N > 0, long-latency writes complete in the
+// scoreboard's stabilization window: the sweep aggregates stay
+// bitwise identical between 1 and 8 workers there too.
+TEST(SweepRunner, SweepAggregatesIdenticalAcrossThreadCounts)
+{
+    Simulator simulator;
+    SweepConfig cfg;
+    cfg.suite = {{"spec2006int", 1, 6000},
+                 {"multimedia", 2, 6000},
+                 {"kernels", 3, 6000}};
+    cfg.voltages = {500, 400};
+    cfg.warmupInstructions = 4000;
+
+    auto serial = SweepRunner(simulator, {1}).run(cfg);
+    auto parallel = SweepRunner(simulator, {8}).run(cfg);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+        expectMachinesIdentical(serial[i].baseline,
+                                parallel[i].baseline);
+        expectMachinesIdentical(serial[i].iraw, parallel[i].iraw);
+        EXPECT_EQ(serial[i].speedup, parallel[i].speedup);
+        EXPECT_EQ(serial[i].relativeEdp, parallel[i].relativeEdp);
+    }
+}
+
 TEST(SweepRunner, MatchesSerialVccSweepEngine)
 {
     Simulator sim;

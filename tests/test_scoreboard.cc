@@ -70,23 +70,43 @@ TEST(ScoreboardTest, LongLatencyEventWakeup)
 {
     Scoreboard sb(8, 1);
     sb.setStabilizationCycles(1);
-    sb.setLongLatencyProducer(5);
+    sb.setLongLatencyProducer(5, 20);
     for (int i = 0; i < 20; ++i) {
         EXPECT_FALSE(sb.isReady(5));
+        EXPECT_FALSE(sb.isReadyShadow(5));
+        EXPECT_FALSE(sb.quiescent(5));
+        EXPECT_EQ(sb.rawPattern(5), 0u);
         sb.tick();
     }
-    sb.completeLongLatency(5);
     EXPECT_TRUE(sb.isReady(5)) << "bypass on completion";
     sb.tick();
     EXPECT_FALSE(sb.isReady(5)) << "stabilization bubble";
+    EXPECT_TRUE(sb.isReadyShadow(5));
     sb.tick();
     EXPECT_TRUE(sb.isReady(5));
 }
 
-TEST(ScoreboardTest, CompleteLongLatencyWithoutPendingPanics)
+TEST(ScoreboardTest, LongLatencyWakeupSurvivesAdvance)
 {
     Scoreboard sb(8, 1);
-    EXPECT_THROW(sb.completeLongLatency(2), PanicError);
+    sb.setStabilizationCycles(1);
+    sb.setLongLatencyProducer(5, 20);
+    sb.advance(19);
+    EXPECT_FALSE(sb.isReady(5));
+    sb.advance(1);
+    EXPECT_TRUE(sb.isReady(5)) << "bypass on completion";
+    sb.advance(1);
+    EXPECT_FALSE(sb.isReady(5)) << "stabilization bubble";
+}
+
+TEST(ScoreboardTest, LongLatencyReadyCycleMustBeInTheFuture)
+{
+    Scoreboard sb(8, 1);
+    EXPECT_THROW(sb.setLongLatencyProducer(2, 0), PanicError);
+    sb.tick();
+    sb.tick();
+    EXPECT_THROW(sb.setLongLatencyProducer(2, 2), PanicError);
+    EXPECT_NO_THROW(sb.setLongLatencyProducer(2, 3));
 }
 
 TEST(ScoreboardTest, MaxEncodableLatencyRespectsIrawBits)
@@ -121,7 +141,7 @@ TEST(ScoreboardTest, ReconfigurationAffectsOnlyNewProducers)
 TEST(ScoreboardTest, ResetRestoresQuiescence)
 {
     Scoreboard sb(8, 1);
-    sb.setLongLatencyProducer(2);
+    sb.setLongLatencyProducer(2, 30);
     sb.setProducer(3, 4);
     sb.reset();
     EXPECT_TRUE(sb.isReady(2));
