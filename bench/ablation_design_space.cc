@@ -148,7 +148,6 @@ runDesignSpace(sim::ScenarioContext &ctx)
             sc.warmupInstructions = ctx.settings().warmup;
             sc.vcc = 500;
             sc.mode = mode;
-            sc.profile = ctx.settings().profile;
             cfgs.push_back(sc);
         }
     }

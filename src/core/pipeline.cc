@@ -534,14 +534,8 @@ Pipeline::tick()
     ++_cycle;
     _scoreboard.tick();
     _units.newCycle();
-    {
-        ScopedStageTimer t(_profiler, StageProfiler::Stage::Issue);
-        issueStage();
-    }
-    {
-        ScopedStageTimer t(_profiler, StageProfiler::Stage::Fetch);
-        fetchStage();
-    }
+    issueStage();
+    fetchStage();
 }
 
 const PipelineStats &

@@ -37,7 +37,6 @@
 #include "iraw/iq_gate.hh"
 #include "iraw/stable.hh"
 #include "memory/hierarchy.hh"
-#include "obs/stage_profiler.hh"
 #include "predictor/iraw_corruption.hh"
 #include "predictor/predictor_dispatch.hh"
 #include "predictor/rsb.hh"
@@ -220,16 +219,6 @@ class Pipeline
     /** Reset all machine state (keeps configuration). */
     void reset();
 
-    /**
-     * Attach a per-stage wall-time profiler (null detaches).  Purely
-     * observational: simulated results are bitwise identical with or
-     * without it.
-     */
-    void setProfiler(StageProfiler *profiler)
-    {
-        _profiler = profiler;
-    }
-
   private:
     /** Reason the head of the IQ could not issue this cycle. */
     enum class BlockReason
@@ -295,8 +284,6 @@ class Pipeline
     // and the latest of them all (the drain's quiescence test).
     std::array<memory::Cycle, isa::kNumLogicalRegs> _writeDoneAt{};
     memory::Cycle _lastWriteDone = 0;
-
-    StageProfiler *_profiler = nullptr;
 
     // Frontend state.  _nextOp buffers the prefetched micro-op for
     // streaming sources; _peek is its zero-copy counterpart for

@@ -1,7 +1,7 @@
 /**
  * @file
  * Thread-safe metrics registry: the one home for every host-side
- * counter the simulator exposes (perf.* stage timers, trace_store.*
+ * counter the simulator exposes (perf.* wall time, trace_store.*
  * cache stats, runner.* dedup/chunk accounting, adapt.* transition
  * counts, service.* supervisor accounting).
  *

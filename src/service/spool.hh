@@ -78,9 +78,8 @@ bool decodeShardHeader(const std::string &payload,
  * Serialize one finished simulation as a spool payload.  @p index is
  * the config's position in the service call's config vector.  The
  * config itself is NOT transported (the supervisor re-attaches its
- * own, identical copy), and neither is the per-stage host profile
- * (wall-clock telemetry with no deterministic representation); every
- * other field — including every double, bit for bit — round-trips.
+ * own, identical copy); every other field — including every double,
+ * bit for bit — round-trips.
  */
 std::string encodeResult(uint64_t index, const sim::SimResult &r);
 

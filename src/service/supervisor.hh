@@ -164,10 +164,9 @@ class ServiceSession
 /**
  * Execute @p configs under the sharded supervisor and return results
  * in input order, bitwise identical to
- * `SweepRunner::runConfigs` without a service attached (host
- * wall-clock telemetry excepted: per-stage profiles are not
- * transported).  Failed shards leave default-constructed results at
- * their indices and are named in the session's accounting.
+ * `SweepRunner::runConfigs` without a service attached (host wall
+ * time excepted).  Failed shards leave default-constructed results
+ * at their indices and are named in the session's accounting.
  */
 std::vector<sim::SimResult>
 runSharded(const sim::Simulator &sim, ServiceSession &session,

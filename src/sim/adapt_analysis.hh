@@ -1,7 +1,7 @@
 /**
  * @file
  * Vcc-adaptation analysis shared by the adapt scenarios
- * (adapt_policies, adapt_population, micro_adapt): option parsing
+ * (adapt_policies, adapt_population, adapt_powercap): option parsing
  * for the epoch=/policy=/switchcycles=/switchenergy=/floor= family,
  * suite fan-out helpers, and fixed-order aggregation of adaptive
  * runs.

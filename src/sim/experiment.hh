@@ -79,8 +79,6 @@ struct SweepConfig
     /** Dynamic-energy overhead fraction of the IRAW hardware
      *  (from OverheadModel::powerFraction; ~1% pessimistic). */
     double irawDynOverhead = 0.01;
-    /** Per-stage wall-time profiling of every run (profile=1). */
-    bool profile = false;
 };
 
 /**

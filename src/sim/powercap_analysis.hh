@@ -1,7 +1,7 @@
 /**
  * @file
- * Power-capped policy comparison shared by the adapt_powercap
- * scenario and the micro_powercap bench: resolve a watt budget
+ * Power-capped policy comparison behind the adapt_powercap scenario
+ * and perfbench's oracle_gap_pct metric: resolve a watt budget
  * (absolute cap= / power=, or capfrac= of the measured uncapped
  * static power), run every runtime policy against it over the same
  * trace suite, and score them against an offline oracle that

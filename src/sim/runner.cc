@@ -1,7 +1,6 @@
 #include "sim/runner.hh"
 
 #include <algorithm>
-#include <array>
 #include <future>
 #include <map>
 #include <sstream>
@@ -184,22 +183,14 @@ SweepRunner::foldTelemetry(const std::vector<SimConfig> &configs,
         .add(traceGroupedChunks(configs, effectiveChunkSize()).size());
 
     // Host wall time and adapt transition accounting, folded from
-    // the per-run results (service-mode results carry no host
-    // profile, so perf.* stays at the supervisor's side there).
+    // the per-run results (service spools carry both).
     uint64_t wallNs = 0;
     uint64_t hostInsts = 0;
-    std::array<uint64_t, StageProfiler::kStages> stageCalls{};
-    std::array<uint64_t, StageProfiler::kStages> stageNs{};
     uint64_t adaptRuns = 0, switches = 0, epochs = 0;
     uint64_t settleCycles = 0, drainCycles = 0;
     for (const SimResult &r : results) {
         wallNs += static_cast<uint64_t>(r.host.wallSeconds * 1e9);
         hostInsts += r.host.instructions;
-        for (size_t s = 0; s < StageProfiler::kStages; ++s) {
-            auto stage = static_cast<StageProfiler::Stage>(s);
-            stageCalls[s] += r.host.stages.stage(stage).calls;
-            stageNs[s] += r.host.stages.stage(stage).ns;
-        }
         if (r.adapt.enabled) {
             ++adaptRuns;
             switches += r.adapt.switches;
@@ -214,16 +205,6 @@ SweepRunner::foldTelemetry(const std::vector<SimConfig> &configs,
     reg.counter("perf", "instructions",
                 "instructions committed (incl. warmup)")
         .add(hostInsts);
-    for (size_t s = 0; s < StageProfiler::kStages; ++s) {
-        auto stage = static_cast<StageProfiler::Stage>(s);
-        std::string base =
-            std::string("stage_") + StageProfiler::stageName(stage);
-        reg.counter("perf", base + "_calls", "stage invocations")
-            .add(stageCalls[s]);
-        reg.counter("perf", base + "_ns",
-                    "wall nanoseconds in stage")
-            .add(stageNs[s]);
-    }
     if (adaptRuns) {
         reg.counter("adapt", "runs", "adaptive simulations")
             .add(adaptRuns);
@@ -311,7 +292,6 @@ SweepRunner::runMachines(const SweepConfig &cfg,
             sc.warmupInstructions = cfg.warmupInstructions;
             sc.vcc = points[u].vcc;
             sc.mode = points[u].mode;
-            sc.profile = cfg.profile;
             configs.push_back(sc);
         }
     }

@@ -78,9 +78,7 @@ struct RunnerConfig
      * runConfigs delegates execution to the fault-tolerant
      * multi-process supervisor (src/service/) instead of the
      * in-process thread pool.  Simulated results are bitwise
-     * identical either way (determinism invariant 8); host
-     * wall-clock telemetry is not transported, so profile= stage
-     * breakdowns are unavailable in service mode.
+     * identical either way (determinism invariant 8).
      */
     std::shared_ptr<service::ServiceSession> service;
 

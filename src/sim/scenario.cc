@@ -203,7 +203,6 @@ ScenarioContext::sweepConfig() const
     SweepConfig cfg;
     cfg.suite = _settings.suite;
     cfg.warmupInstructions = _settings.warmup;
-    cfg.profile = _settings.profile;
     return cfg;
 }
 

@@ -47,7 +47,8 @@ struct ScenarioSettings
     std::string tracePath;
     /** Share one generate-once trace store across the scenario. */
     bool traceStore = true;
-    /** profile=1: per-stage wall-time counters on every run. */
+    /** profile=1: single-run stats=1 reports add the host perf.*
+     *  group (sim_wall_seconds, minsts_per_sec). */
     bool profile = false;
     /** Disk-cache directory for the store; empty disables it. */
     std::string traceCacheDir;

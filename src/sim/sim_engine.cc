@@ -59,9 +59,6 @@ SimEngine::SimEngine(const Simulator &sim, const SimConfig &cfg)
     if (_cfg.chip)
         _res.variation.nominalN = _res.settings.stabilizationCycles;
 
-    if (_cfg.profile)
-        _pipe.setProfiler(&_stageProfiler);
-
     _totalBudget = _cfg.warmupInstructions + _cfg.instructions;
     _nextEpoch = _vctl ? _cfg.adapt->epochCycles : 0;
 
@@ -279,7 +276,6 @@ SimEngine::finalize()
     core::PipelineStats total = _pipe.stats();
 
     res.host.instructions = total.committedInsts;
-    res.host.stages = _stageProfiler;
 
     res.pipeline = total.minus(_warm);
     res.ipc = res.pipeline.ipc();

@@ -31,7 +31,6 @@
 #include "core/pipeline.hh"
 #include "iraw/controller.hh"
 #include "memory/hierarchy.hh"
-#include "obs/stage_profiler.hh"
 #include "sim/simulation.hh"
 #include "trace/trace_source.hh"
 
@@ -87,8 +86,6 @@ class SimEngine
     std::unique_ptr<trace::TraceSource> _src;
     memory::MemoryHierarchy _mem;
     core::Pipeline _pipe;
-
-    StageProfiler _stageProfiler;
 
     /** Borrowed from SimConfig::tracer; null = tracing off. */
     obs::EventTracer *_tracer = nullptr;

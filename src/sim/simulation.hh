@@ -18,7 +18,6 @@
 #include "core/pipeline.hh"
 #include "iraw/controller.hh"
 #include "memory/hierarchy.hh"
-#include "obs/stage_profiler.hh"
 #include "trace/generator.hh"
 #include "trace/trace_store.hh"
 
@@ -78,9 +77,10 @@ struct SimConfig
     uint32_t issueThrottle = 0;
 
     /**
-     * Collect per-stage wall-time counters for this run (the
-     * scenario option profile=1).  Observational only: simulated
-     * aggregates are bitwise identical with profiling on or off.
+     * Include the host perf.* group (wall seconds, Minsts/s) in this
+     * run's writeStatsReport output (the scenario option profile=1).
+     * Report-only: the engine never reads it, so simulated
+     * aggregates are bitwise identical with it on or off.
      */
     bool profile = false;
 
@@ -139,8 +139,6 @@ struct HostProfile
      *  (warmup + measured window; a trace that drains early commits
      *  fewer than the configured budget). */
     uint64_t instructions = 0;
-    /** Per-stage breakdown; populated only when SimConfig::profile. */
-    StageProfiler stages;
 
     /** Simulation throughput in million committed instructions per
      *  wall second. */

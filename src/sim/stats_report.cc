@@ -250,31 +250,14 @@ writeStatsReport(std::ostream &os, const SimResult &result)
         group.dump(os);
     }
 
-    // Host-side profiling (profile=1 only): wall-clock numbers are
+    // Host wall time (profile=1 only): wall-clock numbers are
     // nondeterministic, so they stay out of default reports to keep
     // output diffs (threads=1 vs N, store on/off) byte-identical.
     // Rendered from a MetricsRegistry snapshot (the one flat-report
-    // printer shared with the telemetry layer); registration order
-    // reproduces the legacy group emission byte for byte.
+    // printer shared with the telemetry layer).
     if (result.config.profile) {
         const HostProfile &host = result.host;
         obs::MetricsRegistry perf;
-        for (size_t i = 0; i < StageProfiler::kStages; ++i) {
-            auto stage = static_cast<StageProfiler::Stage>(i);
-            const auto &s = host.stages.stage(stage);
-            perf.counter("perf",
-                         std::string("stage_") +
-                             StageProfiler::stageName(stage) +
-                             "_calls",
-                         "stage invocations")
-                .set(s.calls);
-            perf.counter("perf",
-                         std::string("stage_") +
-                             StageProfiler::stageName(stage) +
-                             "_ns",
-                         "wall nanoseconds in stage")
-                .set(s.ns);
-        }
         perf.gauge("perf", "sim_wall_seconds",
                    "host wall time inside the cycle loop")
             .set(host.wallSeconds);

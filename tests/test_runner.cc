@@ -11,8 +11,10 @@
 #include <sstream>
 #include <string>
 
+#include "circuit/voltage.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "obs/telemetry.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 
@@ -163,17 +165,32 @@ TEST(SweepRunner, MatchesSerialVccSweepEngine)
     }
 }
 
+// Determinism invariant 4 (dedup soundness): over the whole standard
+// sweep the batch serves some points from another point's simulation
+// (a behaviour-class alias), and every row still equals a lone run of
+// its own point.  On the 25 mV grid every alias is an Auto point that
+// resolves to the baseline at the same Vcc; the two off-grid points
+// share a class with 600 mV ForcedOff and 525 mV Auto, so their
+// aliases must re-derive cycle and execution time for their own Vcc.
 TEST(SweepRunner, BatchMatchesIndividualRuns)
 {
     Simulator sim;
     SweepConfig cfg = smallSweep();
-    SweepRunner runner(sim, {4});
-    std::vector<MachinePoint> points{
-        {500, mechanism::IrawMode::ForcedOff},
-        {500, mechanism::IrawMode::Auto},
-        {450, mechanism::IrawMode::Auto},
-    };
+    RunnerConfig runnerCfg(4);
+    runnerCfg.telemetry =
+        std::make_shared<obs::TelemetrySession>(obs::TelemetryConfig{});
+    SweepRunner runner(sim, runnerCfg);
+    std::vector<MachinePoint> points;
+    for (circuit::MilliVolts vcc : circuit::standardSweep()) {
+        for (auto mode : {mechanism::IrawMode::ForcedOff,
+                          mechanism::IrawMode::Auto})
+            points.push_back({vcc, mode});
+    }
+    points.push_back({605, mechanism::IrawMode::ForcedOff});
+    points.push_back({530, mechanism::IrawMode::Auto});
     auto batch = runner.runMachines(cfg, points);
+    obs::MetricsRegistry &metrics = runnerCfg.telemetry->metrics();
+    EXPECT_GT(metrics.counter("runner", "aliased_points").value(), 0u);
     ASSERT_EQ(batch.size(), points.size());
     for (size_t i = 0; i < points.size(); ++i) {
         auto one = runner.runMachine(cfg, points[i].vcc,

@@ -8,13 +8,17 @@
  * accounting.
  *
  * Every fault here is injected through the deterministic
- * faultinject= plan — no sleeps against real crashes, no flaky
- * timing assumptions beyond "a worker that ignores SIGTERM
- * eventually eats SIGKILL".
+ * faultinject= plan — no sleeps against real crashes.  One timeout
+ * is measured, not assumed: the hung-worker test bounds each attempt
+ * by twice the in-process wall time of its whole config set, so a
+ * healthy shard finishes inside it on any build (sanitized Debug
+ * included) and only the hung worker times out.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 
@@ -479,18 +483,25 @@ TEST_F(ServiceRunTest, HungWorkerEscalatesSigtermToSigkill)
 {
     sim::Simulator sim;
     std::vector<sim::SimConfig> configs = smallConfigs();
+    auto start = std::chrono::steady_clock::now();
+    std::vector<sim::SimResult> want = inProcess(sim, configs);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+
     ServiceConfig cfg = baseConfig();
     // Shard 0's first attempt blocks forever AND ignores SIGTERM,
     // so only the SIGKILL escalation can reclaim the worker.  The
-    // retry (fault spent) then succeeds.
+    // retry (fault spent) then succeeds.  The timeout bounds every
+    // attempt, so it scales with this build's measured speed: a
+    // shard runs a quarter of the configs timed above.
     cfg.faults = FaultPlan::parse("sleep@0");
     cfg.retries = 1;
-    cfg.timeoutSeconds = 0.2;
+    cfg.timeoutSeconds = std::max(0.2, 2.0 * elapsed.count());
     cfg.killGraceSeconds = 0.05;
     ServiceSession session(cfg);
     std::vector<sim::SimResult> sharded =
         runSharded(sim, session, configs, 2);
-    expectResultsIdentical(sharded, inProcess(sim, configs));
+    expectResultsIdentical(sharded, want);
 
     ServiceStats stats = session.stats();
     EXPECT_EQ(stats.timeouts, 1u);

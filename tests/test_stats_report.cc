@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "service/spool.hh"
 #include "sim/stats_report.hh"
 
 namespace iraw {
@@ -11,13 +14,14 @@ namespace sim {
 namespace {
 
 SimResult
-runSmall()
+runSmall(bool profile = false)
 {
     Simulator s;
     SimConfig cfg;
     cfg.instructions = 8000;
     cfg.warmupInstructions = 2000;
     cfg.vcc = 500;
+    cfg.profile = profile;
     return s.run(cfg);
 }
 
@@ -73,6 +77,47 @@ TEST(StatsReport, BaselineRunReportsZeroIrawActivity)
     std::string text = os.str();
     EXPECT_NE(text.find("iraw_enabled"), std::string::npos);
     EXPECT_EQ(r.pipeline.rfIrawStallCycles, 0u);
+}
+
+/** Every simulated field of @p r (doubles bit for bit): the spool
+ *  codec's encoding with the host wall-clock profile zeroed. */
+std::string
+canonical(SimResult r)
+{
+    r.host = HostProfile{};
+    return service::encodeResult(0, r);
+}
+
+std::vector<std::string>
+reportLines(const SimResult &r)
+{
+    std::ostringstream os;
+    writeStatsReport(os, r);
+    std::istringstream in(os.str());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+// Determinism invariant 6 (observer invariance): profile=1 changes
+// no simulated bit, and its only trace in the report is the two
+// host perf.* lines appended after the deterministic groups.
+TEST(StatsReport, ProfileAddsOnlyTheHostPerfLines)
+{
+    SimResult plain = runSmall();
+    SimResult profiled = runSmall(true);
+    EXPECT_EQ(canonical(profiled), canonical(plain));
+
+    std::vector<std::string> want = reportLines(plain);
+    std::vector<std::string> got = reportLines(profiled);
+    const size_t n = want.size();
+    ASSERT_EQ(got.size(), n + 2);
+    for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(got[i], want[i]) << "line " << i;
+    EXPECT_EQ(got[n].rfind("perf.sim_wall_seconds ", 0), 0u) << got[n];
+    EXPECT_EQ(got[n + 1].rfind("perf.minsts_per_sec ", 0), 0u)
+        << got[n + 1];
 }
 
 } // namespace
