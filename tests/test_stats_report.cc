@@ -8,6 +8,8 @@
 
 #include "service/spool.hh"
 #include "sim/stats_report.hh"
+#include "variation/chip_sample.hh"
+#include "variation/variation_model.hh"
 
 namespace iraw {
 namespace sim {
@@ -118,6 +120,52 @@ TEST(StatsReport, ProfileAddsOnlyTheHostPerfLines)
     EXPECT_EQ(got[n].rfind("perf.sim_wall_seconds ", 0), 0u) << got[n];
     EXPECT_EQ(got[n + 1].rfind("perf.minsts_per_sec ", 0), 0u)
         << got[n + 1];
+}
+
+/** The report lines of @p r that start with @p prefix. */
+std::vector<std::string>
+linesWithPrefix(const SimResult &r, const std::string &prefix)
+{
+    std::vector<std::string> out;
+    for (const std::string &line : reportLines(r))
+        if (line.rfind(prefix, 0) == 0)
+            out.push_back(line);
+    return out;
+}
+
+// No golden runs a chip-attached config through writeStatsReport,
+// so the per-run variation group's bytes are pinned here.
+TEST(StatsReport, ChipRunReportsTheVariationGroup)
+{
+    variation::VariationParams params;
+    params.sigma = 0.10;
+    params.systematicSigma = 0.03;
+    variation::VariationModel model(params);
+
+    Simulator s;
+    SimConfig cfg;
+    cfg.instructions = 5000;
+    cfg.warmupInstructions = 1000;
+    cfg.vcc = 600;
+    cfg.mode = mechanism::IrawMode::ForcedOn;
+    cfg.chip = std::make_shared<const variation::ChipSample>(
+        variation::ChipSample::sample(
+            model, 7, 0,
+            variation::ChipGeometry::from(cfg.core, cfg.mem)));
+
+    const std::vector<std::string> want = {
+        "variation.chip_index                                          "
+        "0  # Monte Carlo chip instance",
+        "variation.worst_n                                             "
+        "1  # worst per-line stabilization cycles applied",
+        "variation.nominal_n                                           "
+        "1  # the unvaried machine's uniform N here",
+        "variation.sigma                                             "
+        "0.1  # per-line lognormal sigma at nominal Vcc",
+        "variation.max_multiplier                                "
+        "1.78827  # worst bitcell-delay multiplier at this Vcc",
+    };
+    EXPECT_EQ(linesWithPrefix(s.run(cfg), "variation."), want);
 }
 
 } // namespace
