@@ -12,13 +12,15 @@
 #
 # Pair mode (no golden file involved):
 #   cmake -DBIN=<binary> -DARGS="..." -DARGS2="..." [-DEXPECT_DIFFER=1]
-#         -DOUT=<scratch> -P RunGolden.cmake
+#         [-DFILTER=<regex>] -DOUT=<scratch> -P RunGolden.cmake
 # runs the binary twice and fails unless both stdouts are
 # byte-identical — an equivalence invariant (e.g. threads=1 vs
 # threads=8).  With -DEXPECT_DIFFER=1 it fails if they are
 # byte-identical — the guard that an option actually changes
 # behaviour (e.g. policy=explore vs policy=static must not print the
-# same table).
+# same table).  With -DFILTER=<regex> only the lines matching the
+# regex are compared, and a regex that matches no line of either run
+# fails the check.
 
 if(NOT DEFINED BIN OR NOT DEFINED OUT)
     message(FATAL_ERROR "RunGolden.cmake needs -DBIN= and -DOUT=")
@@ -28,8 +30,8 @@ if(NOT DEFINED ARGS2 AND NOT DEFINED GOLDEN)
             "RunGolden.cmake needs -DGOLDEN= (or -DARGS2= for a "
             "pair check)")
 endif()
-if(EXPECT_DIFFER AND NOT DEFINED ARGS2)
-    message(FATAL_ERROR "EXPECT_DIFFER needs -DARGS2=")
+if((EXPECT_DIFFER OR DEFINED FILTER) AND NOT DEFINED ARGS2)
+    message(FATAL_ERROR "EXPECT_DIFFER and FILTER need -DARGS2=")
 endif()
 
 separate_arguments(ARG_LIST UNIX_COMMAND "${ARGS}")
@@ -49,6 +51,18 @@ if(DEFINED ARGS2)
     if(NOT rc2 EQUAL 0)
         message(FATAL_ERROR
                 "pair run failed (rc=${rc2}): ${BIN} ${ARGS2}")
+    endif()
+    if(DEFINED FILTER)
+        foreach(var output output2)
+            file(WRITE "${OUT}" "${${var}}")
+            file(STRINGS "${OUT}" lines REGEX "${FILTER}")
+            list(JOIN lines "\n" ${var})
+        endforeach()
+        if(output STREQUAL "" AND output2 STREQUAL "")
+            message(FATAL_ERROR
+                    "FILTER `${FILTER}` matches no line of "
+                    "`${BIN} ${ARGS}` or `${BIN} ${ARGS2}`")
+        endif()
     endif()
     if(EXPECT_DIFFER AND output STREQUAL output2)
         file(WRITE "${OUT}" "${output}")

@@ -8,40 +8,6 @@
 namespace iraw {
 namespace obs {
 
-Histogram::Histogram(int64_t min, int64_t max, int64_t bucketSize)
-    : _min(min), _bucketSize(bucketSize)
-{
-    fatalIf(max < min, "obs::Histogram: max < min");
-    fatalIf(bucketSize <= 0, "obs::Histogram: bucketSize <= 0");
-    size_t n = static_cast<size_t>((max - min) / bucketSize) + 1;
-    _buckets = std::vector<std::atomic<uint64_t>>(n);
-}
-
-void
-Histogram::sample(int64_t value)
-{
-    _count.fetch_add(1, std::memory_order_relaxed);
-    _sum.fetch_add(value, std::memory_order_relaxed);
-    if (value < _min) {
-        _underflow.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    size_t idx = static_cast<size_t>((value - _min) / _bucketSize);
-    if (idx >= _buckets.size()) {
-        _overflow.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    _buckets[idx].fetch_add(1, std::memory_order_relaxed);
-}
-
-double
-Histogram::mean() const
-{
-    uint64_t n = count();
-    return n ? static_cast<double>(sum()) / static_cast<double>(n)
-             : 0.0;
-}
-
 MetricsRegistry::Entry &
 MetricsRegistry::findOrCreate(const std::string &group,
                               const std::string &name,
@@ -90,20 +56,6 @@ MetricsRegistry::gauge(const std::string &group,
     return *e.gauge;
 }
 
-Histogram &
-MetricsRegistry::histogram(const std::string &group,
-                           const std::string &name,
-                           const std::string &desc, int64_t min,
-                           int64_t max, int64_t bucketSize)
-{
-    MutexLock lock(_mutex);
-    Entry &e = findOrCreate(group, name, desc, Kind::Histogram);
-    if (!e.histogram)
-        e.histogram =
-            std::make_unique<Histogram>(min, max, bucketSize);
-    return *e.histogram;
-}
-
 std::vector<MetricsRegistry::SnapshotEntry>
 MetricsRegistry::snapshot(Order order) const
 {
@@ -128,36 +80,13 @@ MetricsRegistry::snapshot(Order order) const
             s.group = e->group;
             s.name = e->name;
             s.desc = e->desc;
-            switch (e->kind) {
-              case Kind::Counter:
-                s.isFloat = false;
+            if (e->kind == Kind::Counter) {
                 s.u = e->counter->value();
-                out.push_back(std::move(s));
-                break;
-              case Kind::Gauge:
+            } else {
                 s.isFloat = true;
                 s.d = e->gauge->value();
-                out.push_back(std::move(s));
-                break;
-              case Kind::Histogram: {
-                // Two derived lines, mirroring the legacy
-                // stats::Histogram report shape.
-                SnapshotEntry samples = s;
-                samples.name = e->name + ".samples";
-                samples.desc.clear();
-                samples.isFloat = true;
-                samples.d =
-                    static_cast<double>(e->histogram->count());
-                out.push_back(std::move(samples));
-                SnapshotEntry mean = std::move(s);
-                mean.name = e->name + ".mean";
-                mean.desc.clear();
-                mean.isFloat = true;
-                mean.d = e->histogram->mean();
-                out.push_back(std::move(mean));
-                break;
-              }
             }
+            out.push_back(std::move(s));
         }
     }
     return out;

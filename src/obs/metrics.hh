@@ -1,27 +1,26 @@
 /**
  * @file
- * Thread-safe metrics registry: the one home for every host-side
- * counter the simulator exposes (perf.* wall time, trace_store.*
- * cache stats, runner.* dedup/chunk accounting, adapt.* transition
- * counts, service.* supervisor accounting).
+ * Thread-safe metrics registry and the one flat-report printer.
  *
- * Three metric kinds, all lock-free on the update path:
- *  - Counter:   monotonically written uint64 (atomic add / set)
- *  - Gauge:     a double level (atomic store)
- *  - Histogram: fixed-bucket int64 samples (same edge semantics as
- *               stats::Histogram: inclusive [min, max], under/
- *               overflow tracked separately)
+ * A registry holds named metrics in groups, of two kinds, both
+ * lock-free on the update path:
+ *  - Counter: a uint64 (atomic add / set), printed exact
+ *  - Gauge:   a double level (atomic store)
  *
  * Registration is idempotent — asking for an existing (group, name)
  * returns the same metric — and the registry snapshot is
  * deterministic: Order::Registration replays the exact registration
- * sequence (what the legacy report printers need for byte-identical
- * output), Order::ByName sorts by (group, name) so concurrently
- * registering threads still produce one canonical rendering.
+ * sequence (the order a report prints in), Order::ByName sorts by
+ * (group, name) so concurrently registering threads still produce
+ * one canonical rendering.
  *
- * Everything simulated stays out of here by construction: metrics
- * are host-side observations only, written to stderr/side files,
- * never to stdout (docs/ARCHITECTURE.md, determinism invariant 9).
+ * Two kinds of registry use it.  The telemetry session's registry
+ * holds host-side observations only (perf.* wall time, trace_store.*
+ * cache stats, runner.* dedup/chunk accounting, adapt.* transition
+ * counts, service.* supervisor accounting), written to stderr/side
+ * files, never to stdout (docs/ARCHITECTURE.md, determinism
+ * invariant 9).  Every `group.stat` report (sim/stats_report.hh)
+ * builds its own registry and prints it with writeSnapshot.
  */
 
 #ifndef IRAW_OBS_METRICS_HH
@@ -41,7 +40,7 @@
 namespace iraw {
 namespace obs {
 
-/** Monotonic uint64 metric; add() from any thread. */
+/** A uint64 metric; add() or set() from any thread. */
 class Counter
 {
   public:
@@ -51,8 +50,8 @@ class Counter
         _value.fetch_add(delta, std::memory_order_relaxed);
     }
 
-    /** Overwrite with an externally folded total (end-of-run
-     *  mirroring of legacy stats structs). */
+    /** Overwrite with an externally folded total (a report line,
+     *  or an end-of-run copy of a stats struct's field). */
     void
     set(uint64_t value)
     {
@@ -87,71 +86,6 @@ class Gauge
 
   private:
     std::atomic<double> _value{0.0};
-};
-
-/**
- * Fixed-bucket histogram over inclusive [min, max]; values outside
- * land in underflow/overflow.  sample() is wait-free (independent
- * relaxed atomics), so a snapshot taken concurrently with samplers
- * may be torn across fields — deterministic snapshots are taken
- * after the sampling threads join, like every other metric here.
- */
-class Histogram
-{
-  public:
-    Histogram(int64_t min, int64_t max, int64_t bucketSize);
-
-    void sample(int64_t value);
-
-    uint64_t
-    count() const
-    {
-        return _count.load(std::memory_order_relaxed);
-    }
-    int64_t
-    sum() const
-    {
-        return _sum.load(std::memory_order_relaxed);
-    }
-    uint64_t
-    underflow() const
-    {
-        return _underflow.load(std::memory_order_relaxed);
-    }
-    uint64_t
-    overflow() const
-    {
-        return _overflow.load(std::memory_order_relaxed);
-    }
-
-    /** In-range sample mean; 0 when empty. */
-    double mean() const;
-
-    size_t
-    numBuckets() const
-    {
-        return _buckets.size();
-    }
-    /** Lowest value belonging to bucket @p i. */
-    int64_t
-    bucketLow(size_t i) const
-    {
-        return _min + static_cast<int64_t>(i) * _bucketSize;
-    }
-    uint64_t
-    bucketCount(size_t i) const
-    {
-        return _buckets[i].load(std::memory_order_relaxed);
-    }
-
-  private:
-    int64_t _min;
-    int64_t _bucketSize;
-    std::vector<std::atomic<uint64_t>> _buckets;
-    std::atomic<uint64_t> _count{0};
-    std::atomic<int64_t> _sum{0};
-    std::atomic<uint64_t> _underflow{0};
-    std::atomic<uint64_t> _overflow{0};
 };
 
 /**
@@ -191,17 +125,7 @@ class MetricsRegistry
     Gauge &gauge(const std::string &group, const std::string &name,
                  const std::string &desc = "") EXCLUDES(_mutex);
 
-    Histogram &histogram(const std::string &group,
-                         const std::string &name,
-                         const std::string &desc, int64_t min,
-                         int64_t max, int64_t bucketSize = 1)
-        EXCLUDES(_mutex);
-
-    /**
-     * Render every metric to value entries.  Histograms expand to
-     * two entries, `<name>.samples` and `<name>.mean` (matching the
-     * legacy stats::Histogram report shape).
-     */
+    /** Render every metric as one entry, in @p order. */
     std::vector<SnapshotEntry>
     snapshot(Order order = Order::Registration) const
         EXCLUDES(_mutex);
@@ -211,7 +135,6 @@ class MetricsRegistry
     {
         Counter,
         Gauge,
-        Histogram,
     };
 
     struct Entry
@@ -222,7 +145,6 @@ class MetricsRegistry
         Kind kind;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
     };
 
     Entry &findOrCreate(const std::string &group,
@@ -237,13 +159,12 @@ class MetricsRegistry
 };
 
 /**
- * The one snapshot printer: renders entries in the classic stats
- * report format
+ * The one report printer: renders entries in the flat gem5-style
+ * stats format, one line each,
  *
- *     <group>.<name padded to 36>  <value padded to 16>  # <desc>
+ *     <group>.<name padded to 36> <value padded to 16>  # <desc>
  *
- * byte-identical to what stats::Group::dump and the legacy
- * writeServiceReport/writeTraceStoreReport printers emitted.
+ * with the "  # <desc>" tail only when the entry has a description.
  */
 void writeSnapshot(
     std::ostream &os,

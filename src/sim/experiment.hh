@@ -1,10 +1,12 @@
 /**
  * @file
- * The Vcc-sweep experiment engine behind Figures 11 and 12: for each
- * voltage it runs the workload suite on the baseline machine (writes
- * complete in-cycle, frequency scaled down) and on the IRAW machine
- * (interrupted writes, stalls), then derives frequency gain, speedup,
- * energy, and EDP exactly the way the paper's evaluation does.
+ * The Vcc-sweep experiment behind Figures 11 and 12: for each
+ * voltage, sim::SweepRunner (sim/runner.hh) runs the workload suite
+ * on the baseline machine (writes complete in-cycle, frequency
+ * scaled down) and on the IRAW machine (interrupted writes, stalls),
+ * then derives frequency gain, speedup, energy, and EDP exactly the
+ * way the paper's evaluation does.  This header holds its
+ * configuration and result rows.
  */
 
 #ifndef IRAW_SIM_EXPERIMENT_HH
@@ -79,32 +81,6 @@ struct SweepConfig
     /** Dynamic-energy overhead fraction of the IRAW hardware
      *  (from OverheadModel::powerFraction; ~1% pessimistic). */
     double irawDynOverhead = 0.01;
-};
-
-/**
- * Runs the sweep on the calling thread.  This is a thin
- * single-threaded facade over sim::SweepRunner (see sim/runner.hh);
- * both produce bitwise-identical rows.
- */
-class VccSweep
-{
-  public:
-    explicit VccSweep(const Simulator &sim) : _sim(sim) {}
-
-    /**
-     * Execute the sweep.  The energy model is calibrated on the
-     * baseline machine at 600 mV (paper Sec. 5.1: leakage is 10% of
-     * total energy at 600 mV).
-     */
-    std::vector<SweepRow> run(const SweepConfig &cfg) const;
-
-    /** Aggregate one machine over the suite at one voltage. */
-    MachineAtVcc runMachine(const SweepConfig &cfg,
-                            circuit::MilliVolts vcc,
-                            mechanism::IrawMode mode) const;
-
-  private:
-    const Simulator &_sim;
 };
 
 } // namespace sim

@@ -333,7 +333,7 @@ SweepRunner::runMachine(const SweepConfig &cfg,
 std::vector<SweepRow>
 SweepRunner::run(const SweepConfig &cfg) const
 {
-    fatalIf(cfg.voltages.empty(), "VccSweep: empty voltage list");
+    fatalIf(cfg.voltages.empty(), "SweepRunner: empty voltage list");
 
     // Point 0 is the energy calibration run: the baseline machine at
     // 600 mV (paper Sec. 5.1: leakage is 10% of total energy there).

@@ -119,8 +119,8 @@ struct MachinePoint
 };
 
 /**
- * Runs Vcc sweeps across a thread pool.  The single-threaded
- * VccSweep engine delegates here, so both produce identical rows.
+ * Runs Vcc sweeps across a thread pool.  Rows are bitwise identical
+ * at every thread count.
  */
 class SweepRunner
 {
@@ -142,8 +142,8 @@ class SweepRunner
     /**
      * Execute the full Figure 11/12 sweep: every (voltage, trace,
      * machine) point runs as its own task.  The energy model is
-     * calibrated on the baseline machine at 600 mV exactly as in the
-     * serial engine.
+     * calibrated on the baseline machine at 600 mV (paper Sec. 5.1:
+     * leakage is 10% of total energy at 600 mV).
      */
     std::vector<SweepRow> run(const SweepConfig &cfg) const;
 

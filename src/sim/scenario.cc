@@ -341,12 +341,12 @@ std::vector<std::string>
 documentedOptions(const std::vector<const Scenario *> &scenarios)
 {
     std::vector<std::string> keys = {
-        "scenario",   "list",       "threads",    "insts",
-        "seeds",      "quick",      "warmup",     "trace",
-        "tracestore", "tracecache", "storebytes", "storestats",
-        "profile",    "workers",    "timeout",    "retries",
-        "backoff",    "spool",      "resume",     "faultinject",
-        "telemetry",  "chrometrace", "progress"};
+        "scenario",   "list",       "threads",     "insts",
+        "seeds",      "quick",      "warmup",      "trace",
+        "tracestore", "tracecache", "storebytes",  "profile",
+        "workers",    "timeout",    "retries",     "backoff",
+        "spool",      "resume",     "faultinject", "telemetry",
+        "chrometrace", "progress"};
     for (const Scenario *s : scenarios)
         collectOptionKeys(s->description, keys);
     std::sort(keys.begin(), keys.end());
@@ -396,7 +396,7 @@ scenarioMain(int argc, const char *const *argv)
                      "[insts=N] [seeds=N] [quick=1] "
                      "[warmup=N] [trace=file.trc] [tracestore=0|1] "
                      "[tracecache=dir] [storebytes=N] "
-                     "[storestats=1] [profile=0|1] "
+                     "[profile=0|1] "
                      "[workers=N] [timeout=S] [retries=N] "
                      "[backoff=MS] [spool=dir] [resume=dir] "
                      "[faultinject=spec] "
@@ -428,7 +428,6 @@ scenarioMain(int argc, const char *const *argv)
     // materialized traces across scenarios instead of starting each
     // one cold.
     std::shared_ptr<trace::TraceStore> sharedStore;
-    trace::TraceStore::Stats prevStats;
     service::ServiceStats serviceTotal;
     bool sawService = false;
     for (const Scenario *s : toRun) {
@@ -449,22 +448,6 @@ scenarioMain(int argc, const char *const *argv)
                     telemetry ? telemetry->tracer().get() : nullptr,
                     s->name, "scenario");
                 rc = s->fn(ctx);
-            }
-            if (opts.getBool("storestats", false) &&
-                ctx.traceStore()) {
-                // Report this scenario's own traffic: the store is
-                // shared, so event counters must be deltaed against
-                // the previous scenarios (levels stay absolute).
-                trace::TraceStore::Stats stats =
-                    ctx.traceStore()->stats();
-                trace::TraceStore::Stats delta = stats;
-                delta.hits -= prevStats.hits;
-                delta.misses -= prevStats.misses;
-                delta.diskHits -= prevStats.diskHits;
-                delta.diskBadFiles -= prevStats.diskBadFiles;
-                delta.evictions -= prevStats.evictions;
-                prevStats = stats;
-                writeTraceStoreReport(std::cout, delta);
             }
             if (ctx.serviceSession()) {
                 // Service accounting goes to stderr: stdout must
@@ -506,56 +489,10 @@ scenarioMain(int argc, const char *const *argv)
         // wave): trace-store levels are absolute, service counters
         // are the totals across scenarios.
         obs::MetricsRegistry &m = telemetry->metrics();
-        if (sharedStore) {
-            trace::TraceStore::Stats ts = sharedStore->stats();
-            m.counter("trace_store", "hits").set(ts.hits);
-            m.counter("trace_store", "misses").set(ts.misses);
-            m.counter("trace_store", "disk_hits").set(ts.diskHits);
-            m.counter("trace_store", "disk_bad_files")
-                .set(ts.diskBadFiles);
-            m.counter("trace_store", "stale_tmp_files")
-                .set(ts.staleTmpFiles);
-            m.counter("trace_store", "evictions").set(ts.evictions);
-            m.counter("trace_store", "buffers").set(ts.buffers);
-            m.counter("trace_store", "bytes_in_use")
-                .set(ts.bytesInUse);
-            m.counter("trace_store", "byte_cap").set(ts.byteCap);
-        }
-        if (sawService) {
-            m.counter("service", "calls").set(serviceTotal.calls);
-            m.counter("service", "shards")
-                .set(serviceTotal.shardsTotal);
-            m.counter("service", "shards_completed")
-                .set(serviceTotal.shardsCompleted);
-            m.counter("service", "shards_reused")
-                .set(serviceTotal.shardsReused);
-            m.counter("service", "failed_shards")
-                .set(serviceTotal.shardsFailed);
-            m.counter("service", "records")
-                .set(serviceTotal.records);
-            m.counter("service", "records_resumed")
-                .set(serviceTotal.recordsResumed);
-            m.counter("service", "launches")
-                .set(serviceTotal.launches);
-            m.counter("service", "retries")
-                .set(serviceTotal.retries);
-            m.counter("service", "crashes")
-                .set(serviceTotal.crashes);
-            m.counter("service", "exit_failures")
-                .set(serviceTotal.exitFailures);
-            m.counter("service", "timeouts")
-                .set(serviceTotal.timeouts);
-            m.counter("service", "sigterms")
-                .set(serviceTotal.sigterms);
-            m.counter("service", "sigkills")
-                .set(serviceTotal.sigkills);
-            m.counter("service", "torn_tails")
-                .set(serviceTotal.tornTails);
-            m.counter("service", "bad_records")
-                .set(serviceTotal.badRecords);
-            m.counter("service", "spool_errors")
-                .set(serviceTotal.spoolErrors);
-        }
+        if (sharedStore)
+            addTraceStoreMetrics(m, sharedStore->stats());
+        if (sawService)
+            addServiceMetrics(m, serviceTotal);
         if (telemetry->progress())
             telemetry->progress()->finish();
         if (!telemetryCfg.chromeTracePath.empty()) {

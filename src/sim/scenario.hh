@@ -4,7 +4,7 @@
  * itself here and runs through one driver entry point
  * (scenarioMain), so all of them share the same CLI overrides
  * (threads=, insts=, seeds=, quick=, warmup=, trace=,
- * tracestore=, tracecache=, storebytes=, storestats=, profile=, the
+ * tracestore=, tracecache=, storebytes=, profile=, the
  * sharded-service options workers=, timeout=, retries=, backoff=,
  * spool=, resume=, faultinject=, the telemetry options telemetry=,
  * chrometrace=, progress=, and for the Monte Carlo population

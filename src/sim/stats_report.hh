@@ -2,7 +2,9 @@
  * @file
  * gem5-style statistics reporting: renders a SimResult as a flat
  * "group.stat value # description" listing (the format downstream
- * tooling expects from simulators), built on the stats package.
+ * tooling expects from simulators).  Every report registers its lines
+ * in print order on an obs::MetricsRegistry and prints through
+ * obs::writeSnapshot, the one report printer.
  */
 
 #ifndef IRAW_SIM_STATS_REPORT_HH
@@ -14,6 +16,9 @@
 
 namespace iraw {
 
+namespace obs {
+class MetricsRegistry;
+}
 namespace variation {
 struct PopulationResult;
 }
@@ -29,15 +34,6 @@ namespace sim {
  * predictor, timing/performance.
  */
 void writeStatsReport(std::ostream &os, const SimResult &result);
-
-/**
- * Dump the generate-once trace store's counters (hits, misses, disk
- * hits, evictions, resident bytes) in the same flat format.
- * Rendered through the obs::MetricsRegistry snapshot printer, so the
- * report and the telemetry manifest share one source of truth.
- */
-void writeTraceStoreReport(std::ostream &os,
-                           const trace::TraceStore::Stats &stats);
 
 /**
  * Dump a chip population's yield aggregates as a flat `variation.*`
@@ -59,6 +55,19 @@ void writeVariationReport(std::ostream &os,
  */
 void writeServiceReport(std::ostream &os,
                         const service::ServiceStats &stats);
+
+/**
+ * Register the trace store's counters (hits, misses, disk hits,
+ * evictions, resident bytes, ...) as the `trace_store.*` group of
+ * @p registry.
+ */
+void addTraceStoreMetrics(obs::MetricsRegistry &registry,
+                          const trace::TraceStore::Stats &stats);
+
+/** Register the service accounting as the `service.*` group of
+ *  @p registry (writeServiceReport prints the same lines). */
+void addServiceMetrics(obs::MetricsRegistry &registry,
+                       const service::ServiceStats &stats);
 
 } // namespace sim
 } // namespace iraw

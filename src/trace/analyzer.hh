@@ -14,7 +14,6 @@
 #include <map>
 #include <string>
 
-#include "common/stats.hh"
 #include "isa/microop.hh"
 #include "trace/trace_source.hh"
 

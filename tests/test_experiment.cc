@@ -1,9 +1,9 @@
-/** @file Unit tests for the Vcc sweep experiment engine. */
+/** @file Unit tests for the Vcc sweep experiment (Figures 11/12). */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
-#include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 namespace iraw {
 namespace sim {
@@ -18,20 +18,20 @@ smallSweep()
     return cfg;
 }
 
-TEST(VccSweep, RowsCoverRequestedVoltages)
+TEST(SweepRunner, RowsCoverRequestedVoltages)
 {
     Simulator sim;
-    VccSweep sweep(sim);
+    SweepRunner sweep(sim);
     auto rows = sweep.run(smallSweep());
     ASSERT_EQ(rows.size(), 3u);
     EXPECT_DOUBLE_EQ(rows[0].vcc, 600.0);
     EXPECT_DOUBLE_EQ(rows[2].vcc, 400.0);
 }
 
-TEST(VccSweep, FrequencyGainMatchesCircuitModel)
+TEST(SweepRunner, FrequencyGainMatchesCircuitModel)
 {
     Simulator sim;
-    VccSweep sweep(sim);
+    SweepRunner sweep(sim);
     auto rows = sweep.run(smallSweep());
     EXPECT_NEAR(rows[0].frequencyGain, 1.0, 1e-9);
     EXPECT_NEAR(rows[1].frequencyGain,
@@ -40,12 +40,12 @@ TEST(VccSweep, FrequencyGainMatchesCircuitModel)
                 sim.cycleTimeModel().frequencyGain(400), 1e-9);
 }
 
-TEST(VccSweep, SpeedupBelowFrequencyGain)
+TEST(SweepRunner, SpeedupBelowFrequencyGain)
 {
     // Paper Sec. 5.2: performance increase trails the frequency
     // increase (stalls + constant-ns DRAM).
     Simulator sim;
-    VccSweep sweep(sim);
+    SweepRunner sweep(sim);
     auto rows = sweep.run(smallSweep());
     for (const auto &row : rows) {
         if (row.iraw.irawEnabled) {
@@ -54,11 +54,11 @@ TEST(VccSweep, SpeedupBelowFrequencyGain)
     }
 }
 
-TEST(VccSweep, EdpImprovesAtLowVcc)
+TEST(SweepRunner, EdpImprovesAtLowVcc)
 {
     // Paper Figure 12: relative EDP well below 1 at 400-500 mV.
     Simulator sim;
-    VccSweep sweep(sim);
+    SweepRunner sweep(sim);
     auto rows = sweep.run(smallSweep());
     EXPECT_LT(rows[1].relativeEdp, 0.95);
     EXPECT_LT(rows[2].relativeEdp, rows[1].relativeEdp);
@@ -67,22 +67,22 @@ TEST(VccSweep, EdpImprovesAtLowVcc)
                 1e-12);
 }
 
-TEST(VccSweep, EnergySlightlyWorseAtHighVcc)
+TEST(SweepRunner, EnergySlightlyWorseAtHighVcc)
 {
     // Figure 12: ~1% dynamic overhead with no compensating speedup
     // at 600 mV and above.
     Simulator sim;
-    VccSweep sweep(sim);
+    SweepRunner sweep(sim);
     auto rows = sweep.run(smallSweep());
     EXPECT_GT(rows[0].relativeEnergy, 1.0);
     EXPECT_LT(rows[0].relativeEnergy, 1.03);
     EXPECT_NEAR(rows[0].relativeDelay, 1.0, 1e-9);
 }
 
-TEST(VccSweep, MachineAggregatesSuite)
+TEST(SweepRunner, MachineAggregatesSuite)
 {
     Simulator sim;
-    VccSweep sweep(sim);
+    SweepRunner sweep(sim);
     SweepConfig cfg = smallSweep();
     cfg.suite.push_back({"multimedia", 1, 8000});
     auto m =
@@ -92,10 +92,10 @@ TEST(VccSweep, MachineAggregatesSuite)
     EXPECT_TRUE(m.irawEnabled);
 }
 
-TEST(VccSweep, EmptyConfigRejected)
+TEST(SweepRunner, EmptyConfigRejected)
 {
     Simulator sim;
-    VccSweep sweep(sim);
+    SweepRunner sweep(sim);
     SweepConfig cfg;
     EXPECT_THROW(sweep.run(cfg), FatalError);
     cfg.suite = {{"kernels", 1, 100}};

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 namespace iraw {
 namespace sim {
@@ -24,8 +24,8 @@ class IntegrationTest : public ::testing::Test
         cfg.suite = {{"spec2006int", 1, 12000},
                      {"multimedia", 1, 12000}};
         cfg.voltages = {700, 600, 575, 550, 500, 450, 400};
-        VccSweep sweep(*simulator);
-        rows = new std::vector<SweepRow>(sweep.run(cfg));
+        rows =
+            new std::vector<SweepRow>(SweepRunner(*simulator).run(cfg));
     }
     static void
     TearDownTestSuite()

@@ -1,11 +1,11 @@
 /**
  * @file
  * The unified telemetry layer (src/obs/): registry thread safety and
- * deterministic snapshots, histogram edge semantics, Chrome-trace
- * well-formedness and crash-safe spool merging, the shared snapshot
- * printer's byte format, live progress output, and — the part that
- * matters most — determinism invariant 9: attaching telemetry to a
- * run never changes a simulated result, in-process or sharded.
+ * deterministic snapshots, Chrome-trace well-formedness and
+ * crash-safe spool merging, the shared snapshot printer's byte
+ * format, live progress output, and — the part that matters most —
+ * determinism invariant 9: attaching telemetry to a run never
+ * changes a simulated result, in-process or sharded.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/stats.hh"
 #include "obs/event_tracer.hh"
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
@@ -58,9 +57,6 @@ TEST(MetricsRegistry, SixteenThreadHammerSnapshotsDeterministic)
                         ->counter("hammer",
                                   "lane_" + std::to_string(t % 4))
                         .add(2);
-                    registry
-                        ->histogram("hammer", "dist", "", 0, 63, 8)
-                        .sample(i % 64);
                 }
                 registry->gauge("hammer", "level").set(42.5);
             });
@@ -73,8 +69,6 @@ TEST(MetricsRegistry, SixteenThreadHammerSnapshotsDeterministic)
               uint64_t(kThreads) * kIters);
     EXPECT_EQ(a.counter("hammer", "lane_0").value(),
               uint64_t(kThreads) / 4 * kIters * 2);
-    EXPECT_EQ(a.histogram("hammer", "dist", "", 0, 63, 8).count(),
-              uint64_t(kThreads) * kIters);
 
     std::ostringstream sa;
     std::ostringstream sb;
@@ -96,29 +90,6 @@ TEST(MetricsRegistry, RegistrationIsIdempotent)
     auto snap = m.snapshot();
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0].desc, "first wins");
-}
-
-TEST(Histogram, BucketEdgesMatchLegacySemantics)
-{
-    // Inclusive [0, 9] in buckets of 2: five buckets
-    // [0,1][2,3][4,5][6,7][8,9]; outside lands in under/overflow.
-    Histogram h(0, 9, 2);
-    ASSERT_EQ(h.numBuckets(), 5u);
-    h.sample(-1); // underflow
-    h.sample(0);  // bucket 0 low edge
-    h.sample(1);  // bucket 0 high edge
-    h.sample(2);  // bucket 1 low edge
-    h.sample(9);  // bucket 4 high edge
-    h.sample(10); // overflow
-
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(4), 1u);
-    EXPECT_EQ(h.bucketLow(4), 8);
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_EQ(h.sum(), -1 + 0 + 1 + 2 + 9 + 10);
 }
 
 TEST(WriteSnapshot, PrintsTheFlatReportFormat)

@@ -151,20 +151,6 @@ TEST(SweepRunner, SweepAggregatesIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(SweepRunner, MatchesSerialVccSweepEngine)
-{
-    Simulator sim;
-    SweepConfig cfg = smallSweep();
-    auto facade = VccSweep(sim).run(cfg);
-    auto parallel = SweepRunner(sim, {3}).run(cfg);
-    ASSERT_EQ(facade.size(), parallel.size());
-    for (size_t i = 0; i < facade.size(); ++i) {
-        EXPECT_EQ(facade[i].speedup, parallel[i].speedup);
-        EXPECT_EQ(facade[i].relativeEdp, parallel[i].relativeEdp);
-        expectMachinesIdentical(facade[i].iraw, parallel[i].iraw);
-    }
-}
-
 // Determinism invariant 4 (dedup soundness): over the whole standard
 // sweep the batch serves some points from another point's simulation
 // (a behaviour-class alias), and every row still equals a lone run of

@@ -168,6 +168,21 @@ TEST(StatsReport, ChipRunReportsTheVariationGroup)
     EXPECT_EQ(linesWithPrefix(s.run(cfg), "variation."), want);
 }
 
+// A fractional supply voltage prints in full, not truncated to whole
+// millivolts.
+TEST(StatsReport, FractionalVccPrintsInFull)
+{
+    Simulator s;
+    SimConfig cfg;
+    cfg.instructions = 2000;
+    cfg.warmupInstructions = 1000;
+    cfg.vcc = 537.5;
+    const std::vector<std::string> want = {
+        "config.vcc_mV                                          "
+        "537.5  # supply voltage"};
+    EXPECT_EQ(linesWithPrefix(s.run(cfg), "config.vcc_mV "), want);
+}
+
 } // namespace
 } // namespace sim
 } // namespace iraw

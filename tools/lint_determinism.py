@@ -119,7 +119,7 @@ REDUCTION_FILE_PATTERNS = [
     re.compile(p)
     for p in [
         r"(^|/)sim/[^/]+\.(cc|hh)$",
-        r"(^|/)common/stats\.(cc|hh)$",
+        r"(^|/)obs/metrics\.(cc|hh)$",
         r"(^|/)common/table\.(cc|hh)$",
         r"(^|/)variation/population\.(cc|hh)$",
     ]
