@@ -3,7 +3,8 @@
  * Reproduces Figure 12: energy, delay and energy-delay product of
  * the IRAW machine relative to the baseline at each Vcc level, plus
  * the Sec. 5.3 worked example at 450 mV (absolute leakage/dynamic
- * split).  All machine points run as one parallel wave.
+ * split), printed from the SweepRunner::run rows the integration
+ * test checks against the paper bands.
  *
  * Paper anchors: relative EDP 0.61 @500 mV, 0.41 @450 mV,
  * 0.33 @400 mV; IRAW energy ~1% worse at 700-575 mV.
@@ -23,45 +24,29 @@ runFig12(iraw::sim::ScenarioContext &ctx)
     using namespace iraw;
     using namespace iraw::sim;
 
-    // Point 0 calibrates the energy model on the baseline machine
-    // at 600 mV; the rest are the per-Vcc machine pairs.
-    const auto voltages = circuit::standardSweep();
-    std::vector<MachinePoint> points;
-    points.push_back({600.0, mechanism::IrawMode::ForcedOff});
-    for (circuit::MilliVolts v : voltages) {
-        points.push_back({v, mechanism::IrawMode::ForcedOff});
-        points.push_back({v, mechanism::IrawMode::Auto});
-    }
-    std::vector<MachineAtVcc> machines = ctx.runMachines(points);
-
-    const MachineAtVcc &ref = machines[0];
-    circuit::EnergyModel energy(
-        ref.execTimeAu / static_cast<double>(ref.instructions));
+    // The runner's sweep: the 600 mV baseline calibration run plus
+    // the per-Vcc machine pairs, one parallel wave.
+    SweepConfig cfg = ctx.sweepConfig();
+    cfg.voltages = circuit::standardSweep();
+    const std::vector<SweepRow> rows = ctx.runner().run(cfg);
 
     TextTable table("Figure 12: IRAW energy, delay and EDP relative "
                     "to the baseline at each Vcc");
     table.setHeader({"Vcc(mV)", "rel delay", "rel energy", "rel EDP",
                      "leak share base", "leak share iraw"});
     circuit::EnergyBreakdown ex450Base, ex450Iraw;
-    for (size_t i = 0; i < voltages.size(); ++i) {
-        circuit::MilliVolts v = voltages[i];
-        const MachineAtVcc &base = machines[1 + 2 * i];
-        const MachineAtVcc &iraw = machines[2 + 2 * i];
-        auto eBase = energy.taskEnergy(v, base.instructions,
-                                       base.execTimeAu, 0.0);
-        auto eIraw = energy.taskEnergy(v, iraw.instructions,
-                                       iraw.execTimeAu, 0.01);
-        if (v == 450) {
+    for (const SweepRow &row : rows) {
+        const circuit::EnergyBreakdown &eBase = row.baselineBreakdown;
+        const circuit::EnergyBreakdown &eIraw = row.irawBreakdown;
+        if (row.vcc == 450) {
             ex450Base = eBase;
             ex450Iraw = eIraw;
         }
-        double relD = iraw.execTimeAu / base.execTimeAu;
-        double relE = eIraw.total() / eBase.total();
         table.addRow({
-            TextTable::num(v, 0),
-            TextTable::num(relD, 3),
-            TextTable::num(relE, 3),
-            TextTable::num(relD * relE, 3),
+            TextTable::num(row.vcc, 0),
+            TextTable::num(row.relativeDelay, 3),
+            TextTable::num(row.relativeEnergy, 3),
+            TextTable::num(row.relativeEdp, 3),
             TextTable::pct(eBase.leakage / eBase.total(), 1),
             TextTable::pct(eIraw.leakage / eIraw.total(), 1),
         });

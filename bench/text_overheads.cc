@@ -11,7 +11,7 @@
 #include "core/core_config.hh"
 #include "iraw/overhead_inventory.hh"
 #include "memory/hierarchy.hh"
-#include "predictor/branch_predictor.hh"
+#include "predictor/predictor_dispatch.hh"
 #include "predictor/rsb.hh"
 #include "sim/scenario.hh"
 
@@ -26,12 +26,12 @@ runOverheads(iraw::sim::ScenarioContext &ctx)
     memory::MemoryConfig mc;
     memory::MemoryHierarchy mem(mc);
     core::CoreConfig cc;
-    auto bp = predictor::makePredictor(cc.predictorKind,
-                                       cc.predictorEntries,
-                                       cc.predictorHistoryBits);
+    predictor::InlinePredictor bp(cc.predictorKind,
+                                  cc.predictorEntries,
+                                  cc.predictorHistoryBits);
     predictor::ReturnStackBuffer rsb(cc.rsbDepth);
 
-    uint64_t coreSram = mem.totalSramBits() + bp->totalBits() +
+    uint64_t coreSram = mem.totalSramBits() + bp.totalBits() +
                         rsb.totalBits() + cc.registerFileBits() +
                         cc.iqBits() + cc.scoreboardBitsTotal();
 
@@ -40,7 +40,7 @@ runOverheads(iraw::sim::ScenarioContext &ctx)
     inv.addRow({"IL0 + DL0 + UL1 + TLBs + FB + WCB",
                 std::to_string(mem.totalSramBits())});
     inv.addRow({"branch predictor",
-                std::to_string(bp->totalBits())});
+                std::to_string(bp.totalBits())});
     inv.addRow({"RSB", std::to_string(rsb.totalBits())});
     inv.addRow({"register file",
                 std::to_string(cc.registerFileBits())});

@@ -10,6 +10,15 @@
 # `ctest -C golden_update`) rewrites the golden file from the
 # current output instead of diffing.
 #
+# -DSTDERR=<regex>[;<regex>...] additionally requires every regex to
+# match a line of the run's stderr (in pair mode, the second run's):
+# the proof that a recovery path (a crash, a resume, a SIGKILL)
+# actually ran.
+#
+# Setup mode (-DSETUP_DIR=<dir>, no golden): empty <dir>, run the
+# binary and ignore its stdout.  It is the first half of a CTest
+# fixture whose later tests read what the run left in <dir>.
+#
 # Pair mode (no golden file involved):
 #   cmake -DBIN=<binary> -DARGS="..." -DARGS2="..." [-DEXPECT_DIFFER=1]
 #         [-DFILTER=<regex>] -DOUT=<scratch> -P RunGolden.cmake
@@ -25,33 +34,56 @@
 if(NOT DEFINED BIN OR NOT DEFINED OUT)
     message(FATAL_ERROR "RunGolden.cmake needs -DBIN= and -DOUT=")
 endif()
-if(NOT DEFINED ARGS2 AND NOT DEFINED GOLDEN)
+if(NOT DEFINED ARGS2 AND NOT DEFINED GOLDEN AND NOT DEFINED SETUP_DIR)
     message(FATAL_ERROR
             "RunGolden.cmake needs -DGOLDEN= (or -DARGS2= for a "
-            "pair check)")
+            "pair check, or -DSETUP_DIR= for a setup run)")
 endif()
 if((EXPECT_DIFFER OR DEFINED FILTER) AND NOT DEFINED ARGS2)
     message(FATAL_ERROR "EXPECT_DIFFER and FILTER need -DARGS2=")
 endif()
 
+# Fail unless every STDERR regex matches a line of ${err}.
+function(require_stderr err cmdline)
+    if(NOT DEFINED STDERR)
+        return()
+    endif()
+    file(WRITE "${OUT}.err" "${err}")
+    foreach(regex IN LISTS STDERR)
+        file(STRINGS "${OUT}.err" hits REGEX "${regex}")
+        if(NOT hits)
+            message(FATAL_ERROR
+                    "no stderr line of `${cmdline}` matches "
+                    "`${regex}` (${OUT}.err)")
+        endif()
+    endforeach()
+endfunction()
+
+if(DEFINED SETUP_DIR)
+    file(REMOVE_RECURSE "${SETUP_DIR}")
+endif()
+
 separate_arguments(ARG_LIST UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND ${BIN} ${ARG_LIST}
                 OUTPUT_VARIABLE output
+                ERROR_VARIABLE err
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR
-            "golden run failed (rc=${rc}): ${BIN} ${ARGS}")
+            "golden run failed (rc=${rc}): ${BIN} ${ARGS}\n${err}")
 endif()
 
 if(DEFINED ARGS2)
     separate_arguments(ARG2_LIST UNIX_COMMAND "${ARGS2}")
     execute_process(COMMAND ${BIN} ${ARG2_LIST}
                     OUTPUT_VARIABLE output2
+                    ERROR_VARIABLE err2
                     RESULT_VARIABLE rc2)
     if(NOT rc2 EQUAL 0)
         message(FATAL_ERROR
-                "pair run failed (rc=${rc2}): ${BIN} ${ARGS2}")
+                "pair run failed (rc=${rc2}): ${BIN} ${ARGS2}\n${err2}")
     endif()
+    require_stderr("${err2}" "${BIN} ${ARGS2}")
     if(DEFINED FILTER)
         foreach(var output output2)
             file(WRITE "${OUT}" "${${var}}")
@@ -79,6 +111,11 @@ if(DEFINED ARGS2)
                 "byte-identical output but differ:\n  diff ${OUT} "
                 "${OUT}.2")
     endif()
+    return()
+endif()
+
+require_stderr("${err}" "${BIN} ${ARGS}")
+if(DEFINED SETUP_DIR)
     return()
 endif()
 

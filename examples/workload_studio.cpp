@@ -46,8 +46,8 @@ runWorkloadStudio(iraw::sim::ScenarioContext &ctx)
                      "taken", "dep<=4", "64B lines", "min c->r"});
     for (const auto &name : names) {
         // Materialize through the scenario's store: a later dump= of
-        // the same workload (or a rerun with tracecache=) reuses the
-        // buffer instead of regenerating.
+        // the same workload reuses the buffer instead of
+        // regenerating.
         ReplayTraceSource src(ctx.materializeTrace(name, 1, insts));
         TraceStats s = TraceAnalyzer::analyze(src, insts);
         table.addRow({

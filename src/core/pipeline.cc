@@ -5,7 +5,6 @@
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
-#include "trace/trace_store.hh"
 #include "variation/chip_sample.hh"
 
 namespace iraw {
@@ -54,9 +53,8 @@ PipelineStats::minus(const PipelineStats &earlier) const
 
 Pipeline::Pipeline(const CoreConfig &cfg,
                    memory::MemoryHierarchy &hierarchy,
-                   trace::TraceSource &source)
+                   trace::ReplayTraceSource &source)
     : _cfg(cfg), _mem(hierarchy), _trace(source),
-      _replay(source.replay()),
       _scoreboard(cfg.scoreboardBits, cfg.bypassLevels),
       _iq(cfg.iqEntries), _units(cfg),
       _gate(cfg.iqEntries, cfg.issueWidth, cfg.fetchWidth),
@@ -141,7 +139,6 @@ Pipeline::reset()
     _cycle = 0;
     _writeDoneAt.fill(0);
     _lastWriteDone = 0;
-    _nextOp.reset();
     _peek = nullptr;
     _traceDone = false;
     _fetchHalted = false;
@@ -391,28 +388,17 @@ Pipeline::fetchStage()
         if (_iq.full())
             break;
 
-        // Pull the next micro-op.  Store-backed replay sources hand
-        // out a stable pointer into the shared decoded buffer — no
-        // virtual call, no record unpack, no copy; streaming sources
-        // take the virtual pull interface.
+        // Pull the next micro-op: a pointer into the shared decoded
+        // buffer, stable for the run, so nothing is copied until the
+        // op enters the IQ.
         const MicroOp *op = nullptr;
         if (!_traceDone && !_fetchFrozen) {
-            if (_replay) {
-                if (!_peek) {
-                    _peek = _replay->take();
-                    if (!_peek)
-                        _traceDone = true;
-                }
-                op = _peek;
-            } else {
-                if (!_nextOp) {
-                    _nextOp = _trace.next();
-                    if (!_nextOp)
-                        _traceDone = true;
-                }
-                if (_nextOp)
-                    op = &*_nextOp;
+            if (!_peek) {
+                _peek = _trace.take();
+                if (!_peek)
+                    _traceDone = true;
             }
+            op = _peek;
         }
 
         // A frozen frontend (drainQuiesce) behaves like the end of
@@ -510,10 +496,7 @@ Pipeline::fetchStage()
         }
 
         const bool takenBranch = op->isBranch() && op->taken;
-        if (_replay)
-            _peek = nullptr;
-        else
-            _nextOp.reset();
+        _peek = nullptr;
 
         if (entry.mispredicted) {
             _fetchHalted = true;

@@ -26,7 +26,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "common/rng.hh"
 #include "core/core_config.hh"
@@ -40,7 +39,7 @@
 #include "predictor/iraw_corruption.hh"
 #include "predictor/predictor_dispatch.hh"
 #include "predictor/rsb.hh"
-#include "trace/trace_source.hh"
+#include "trace/trace_store.hh"
 
 namespace iraw {
 
@@ -119,11 +118,13 @@ class Pipeline
     /**
      * @param cfg core configuration (validated)
      * @param hierarchy memory system (owned by the caller)
-     * @param source dynamic trace (owned by the caller)
+     * @param source cursor over the resident trace (owned by the
+     *        caller); size it with trace::replayLength() so the
+     *        run never reaches end-of-trace before its budget
      */
     Pipeline(const CoreConfig &cfg,
              memory::MemoryHierarchy &hierarchy,
-             trace::TraceSource &source);
+             trace::ReplayTraceSource &source);
 
     /**
      * Apply an operating point (Sec. 4.1.3 reconfiguration): sets N
@@ -249,18 +250,11 @@ class Pipeline
     bool writesInFlight() const { return _lastWriteDone > _cycle; }
 
     /** Is a trace micro-op buffered ahead of the IQ? */
-    bool
-    fetchPending() const
-    {
-        return _replay ? _peek != nullptr : _nextOp.has_value();
-    }
+    bool fetchPending() const { return _peek != nullptr; }
 
     CoreConfig _cfg;
     memory::MemoryHierarchy &_mem;
-    trace::TraceSource &_trace;
-    /** Non-null iff _trace is a store-backed replay cursor; enables
-     *  the zero-copy fetch path (no virtual call, no unpack). */
-    trace::ReplayTraceSource *_replay = nullptr;
+    trace::ReplayTraceSource &_trace;
 
     Scoreboard _scoreboard;
     InstructionQueue _iq;
@@ -285,11 +279,8 @@ class Pipeline
     std::array<memory::Cycle, isa::kNumLogicalRegs> _writeDoneAt{};
     memory::Cycle _lastWriteDone = 0;
 
-    // Frontend state.  _nextOp buffers the prefetched micro-op for
-    // streaming sources; _peek is its zero-copy counterpart for
-    // replay sources (a pointer into the shared decoded buffer).
-    // Exactly one of the two is in use per pipeline.
-    std::optional<isa::MicroOp> _nextOp;
+    // Frontend state.  _peek is the prefetched micro-op: a pointer
+    // into the shared decoded buffer, held until it enters the IQ.
     const isa::MicroOp *_peek = nullptr;
     bool _traceDone = false;
     bool _fetchFrozen = false; //!< drainQuiesce: no new trace ops

@@ -168,20 +168,5 @@ HybridPredictor::reset()
     resetStats();
 }
 
-std::unique_ptr<BranchPredictor>
-makePredictor(const std::string &kind, uint32_t entries,
-              uint32_t historyBits)
-{
-    if (kind == "bimodal")
-        return std::make_unique<BimodalPredictor>(entries);
-    if (kind == "gshare")
-        return std::make_unique<GsharePredictor>(entries,
-                                                 historyBits);
-    if (kind == "hybrid")
-        return std::make_unique<HybridPredictor>(entries,
-                                                 historyBits);
-    fatal("unknown branch predictor kind '%s'", kind.c_str());
-}
-
 } // namespace predictor
 } // namespace iraw

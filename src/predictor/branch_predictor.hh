@@ -11,46 +11,24 @@
 #define IRAW_PREDICTOR_BRANCH_PREDICTOR_HH
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 namespace iraw {
 namespace predictor {
 
-/** Direction predictor interface. */
+/**
+ * Prediction statistics shared by the direction predictors below.
+ * Each predictor has the same members: predict(pc); update(pc,
+ * taken), true iff it flipped the direction (uppermost) bit of the
+ * indexed entry — the only updates whose IRAW window can corrupt a
+ * subsequent read (Sec. 4.5); totalBits() (area accounting);
+ * entryIndex(pc) and numEntries() (IRAW analysis); and reset(), the
+ * power-on state without re-allocating.  InlinePredictor
+ * (predictor_dispatch.hh) selects one by kind.
+ */
 class BranchPredictor
 {
   public:
-    virtual ~BranchPredictor() = default;
-
-    /** Predict the direction of the branch at @p pc. */
-    virtual bool predict(uint64_t pc) = 0;
-
-    /**
-     * Train with the resolved outcome.
-     * @return true iff the update flipped the direction (uppermost)
-     *         bit of the indexed entry — the only updates whose
-     *         IRAW window can corrupt a subsequent read (Sec. 4.5).
-     */
-    virtual bool update(uint64_t pc, bool taken) = 0;
-
-    virtual std::string name() const = 0;
-
-    /** Total predictor storage bits (for area accounting). */
-    virtual uint64_t totalBits() const = 0;
-
-    /** Index of the table entry @p pc maps to (for IRAW analysis). */
-    virtual uint32_t entryIndex(uint64_t pc) const = 0;
-    virtual uint32_t numEntries() const = 0;
-
-    /**
-     * Restore the power-on state: tables to their initial counters,
-     * history cleared, statistics zeroed.  Sweep-point resets call
-     * this instead of re-allocating a fresh predictor.
-     */
-    virtual void reset() = 0;
-
     uint64_t predictions() const { return _predictions; }
     uint64_t mispredictions() const { return _mispredictions; }
     /** Fraction of predictions that were correct.  A branchless
@@ -86,50 +64,48 @@ class BranchPredictor
 };
 
 /** Classic 2-bit-counter bimodal predictor. */
-class BimodalPredictor final : public BranchPredictor
+class BimodalPredictor : public BranchPredictor
 {
   public:
     explicit BimodalPredictor(uint32_t entries = 4096);
 
-    bool predict(uint64_t pc) override;
-    bool update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "bimodal"; }
-    uint64_t totalBits() const override
+    bool predict(uint64_t pc);
+    bool update(uint64_t pc, bool taken);
+    uint64_t totalBits() const
     {
         return static_cast<uint64_t>(_counters.size()) * 2;
     }
-    uint32_t entryIndex(uint64_t pc) const override;
-    uint32_t numEntries() const override
+    uint32_t entryIndex(uint64_t pc) const;
+    uint32_t numEntries() const
     {
         return static_cast<uint32_t>(_counters.size());
     }
-    void reset() override;
+    void reset();
 
   private:
     std::vector<uint8_t> _counters; //!< 2-bit saturating counters
 };
 
 /** Global-history gshare predictor. */
-class GsharePredictor final : public BranchPredictor
+class GsharePredictor : public BranchPredictor
 {
   public:
     GsharePredictor(uint32_t entries = 4096,
                     uint32_t historyBits = 12);
 
-    bool predict(uint64_t pc) override;
-    bool update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "gshare"; }
-    uint64_t totalBits() const override
+    bool predict(uint64_t pc);
+    bool update(uint64_t pc, bool taken);
+    uint64_t totalBits() const
     {
         return static_cast<uint64_t>(_counters.size()) * 2 +
                _historyBits;
     }
-    uint32_t entryIndex(uint64_t pc) const override;
-    uint32_t numEntries() const override
+    uint32_t entryIndex(uint64_t pc) const;
+    uint32_t numEntries() const
     {
         return static_cast<uint32_t>(_counters.size());
     }
-    void reset() override;
+    void reset();
 
   private:
     std::vector<uint8_t> _counters;
@@ -138,19 +114,18 @@ class GsharePredictor final : public BranchPredictor
 };
 
 /** Tournament hybrid: bimodal + gshare with a 2-bit chooser. */
-class HybridPredictor final : public BranchPredictor
+class HybridPredictor : public BranchPredictor
 {
   public:
     HybridPredictor(uint32_t entries = 4096,
                     uint32_t historyBits = 12);
 
-    bool predict(uint64_t pc) override;
-    bool update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "hybrid"; }
-    uint64_t totalBits() const override;
-    uint32_t entryIndex(uint64_t pc) const override;
-    uint32_t numEntries() const override;
-    void reset() override;
+    bool predict(uint64_t pc);
+    bool update(uint64_t pc, bool taken);
+    uint64_t totalBits() const;
+    uint32_t entryIndex(uint64_t pc) const;
+    uint32_t numEntries() const;
+    void reset();
 
   private:
     BimodalPredictor _bimodal;
@@ -159,11 +134,6 @@ class HybridPredictor final : public BranchPredictor
     bool _lastBimodal = false;
     bool _lastGshare = false;
 };
-
-/** Factory by name ("bimodal", "gshare", "hybrid"). */
-std::unique_ptr<BranchPredictor>
-makePredictor(const std::string &kind, uint32_t entries = 4096,
-              uint32_t historyBits = 12);
 
 } // namespace predictor
 } // namespace iraw

@@ -1,19 +1,12 @@
 /**
  * @file
- * Devirtualized branch-predictor dispatch for the fetch hot path.
+ * Branch-predictor selection by kind, the one dispatch path.
  *
- * The pipeline used to hold a std::unique_ptr<BranchPredictor> and
- * pay three virtual calls per branch (entryIndex, predict, update).
- * InlinePredictor instead stores the concrete predictor in a
- * std::variant and dispatches with one switch; because the concrete
- * classes are `final`, the calls inside the visitor devirtualize and
- * inline.  predictAndTrain() additionally fuses the per-branch
- * entryIndex/predict/update triple into a single dispatch.
- *
- * The polymorphic makePredictor() factory remains the construction
- * path for code that wants a heap-allocated interface (area
- * accounting, tests); the simulated behaviour is bit-identical
- * either way because both wrap the same concrete classes.
+ * InlinePredictor stores the concrete predictor in a std::variant
+ * and dispatches with one switch; the calls inside the visitor are
+ * direct and inline.  predictAndTrain() additionally fuses the fetch
+ * stage's per-branch entryIndex/predict/update triple into a single
+ * dispatch.
  */
 
 #ifndef IRAW_PREDICTOR_PREDICTOR_DISPATCH_HH
@@ -40,7 +33,7 @@ struct PredictOutcome
 class InlinePredictor
 {
   public:
-    /** Same kinds as makePredictor: bimodal, gshare, hybrid. */
+    /** Kinds: bimodal, gshare, hybrid; anything else is fatal. */
     explicit InlinePredictor(const std::string &kind,
                              uint32_t entries = 4096,
                              uint32_t historyBits = 12);
@@ -85,13 +78,6 @@ class InlinePredictor
             _impl);
     }
 
-    std::string
-    name() const
-    {
-        return std::visit(
-            [](const auto &p) { return p.name(); }, _impl);
-    }
-
     uint64_t
     totalBits() const
     {
@@ -126,12 +112,6 @@ class InlinePredictor
     {
         return std::visit(
             [](const auto &p) { return p.accuracy(); }, _impl);
-    }
-
-    void
-    resetStats()
-    {
-        std::visit([](auto &p) { p.resetStats(); }, _impl);
     }
 
     /** Power-on state: tables, history, and stats — no allocation. */

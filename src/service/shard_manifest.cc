@@ -1,6 +1,8 @@
 #include "service/shard_manifest.hh"
 
 #include <cstdio>
+#include <fstream>
+#include <map>
 
 #include "service/spool.hh"
 #include "sim/runner.hh"
@@ -86,6 +88,19 @@ hashMem(Hasher &h, const memory::MemoryConfig &m)
     h.d(m.dramLatencyNs);
 }
 
+/** FNV-1a of the bytes of file @p path; an unreadable file hashes
+ *  as empty (the run itself reports the error). */
+uint64_t
+fileDigest(const std::string &path)
+{
+    Hasher h;
+    std::ifstream in(path, std::ios::binary);
+    char buf[1 << 16];
+    while (in.read(buf, sizeof(buf)) || in.gcount() > 0)
+        h.bytes(buf, static_cast<size_t>(in.gcount()));
+    return h.state;
+}
+
 } // namespace
 
 uint64_t
@@ -159,13 +174,27 @@ buildManifest(const std::vector<sim::SimConfig> &configs,
     std::vector<std::vector<size_t>> chunks =
         sim::traceGroupedChunks(configs, chunkSize);
 
+    // configFingerprint hashes a trace= file's path, not its
+    // contents: fold in a digest of the bytes too, so a rewritten
+    // file renames its shards and their stale spools never merge.
+    // Each distinct file is read once per manifest; synthetic
+    // configs keep their stems.
+    std::map<std::string, uint64_t> fileDigests;
     manifest.shards.reserve(chunks.size());
     for (std::vector<size_t> &chunk : chunks) {
         Shard shard;
         Hasher h;
         h.u64(chunk.size());
-        for (size_t i : chunk)
+        for (size_t i : chunk) {
             h.u64(configFingerprint(configs[i]));
+            const std::string &path = configs[i].tracePath;
+            if (path.empty())
+                continue;
+            auto it = fileDigests.find(path);
+            if (it == fileDigests.end())
+                it = fileDigests.emplace(path, fileDigest(path)).first;
+            h.u64(it->second);
+        }
         shard.indices = std::move(chunk);
         shard.hash = h.state;
         shard.ordinal = manifest.shards.size();

@@ -13,7 +13,8 @@
  * Shards are *content-addressed*: each shard's spool file name
  * carries an FNV-1a fingerprint of every result-affecting field of
  * every config in the shard (machine, workload, seed, budget, Vcc,
- * chip identity, adapt policy, ...).  A resumed run rebuilds the
+ * chip identity, adapt policy, ...) and of the bytes of every trace=
+ * file the shard replays.  A resumed run rebuilds the
  * manifest from its own configs and simply looks the fingerprints up
  * on disk — if anything about the experiment changed, the names
  * miss and the shards rerun; stale spools can never be merged into

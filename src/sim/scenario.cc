@@ -51,22 +51,14 @@ ScenarioContext::ScenarioContext(
     }
 
     _settings.profile = opts.getBool("profile", false);
-    _settings.traceStore = opts.getBool("tracestore", true);
-    _settings.traceCacheDir = opts.getString("tracecache", "");
     _settings.storeBytes =
         opts.getUint("storebytes", _settings.storeBytes);
-    if (_settings.traceStore) {
-        if (store) {
-            _store = std::move(store);
-        } else {
-            trace::TraceStore::Config storeCfg;
-            storeCfg.byteCap = _settings.storeBytes;
-            storeCfg.diskDir = _settings.traceCacheDir;
-            _store = std::make_shared<trace::TraceStore>(storeCfg);
-        }
-    } else if (!_settings.traceCacheDir.empty()) {
-        // The disk layer lives inside the store; tracestore=0 wins.
-        warn("tracecache= ignored because tracestore=0");
+    if (store) {
+        _store = std::move(store);
+    } else {
+        trace::TraceStore::Config storeCfg;
+        storeCfg.byteCap = _settings.storeBytes;
+        _store = std::make_shared<trace::TraceStore>(storeCfg);
     }
 
     // Sharded service mode (workers=): every sweep in the scenario
@@ -122,7 +114,7 @@ ScenarioContext::ScenarioContext(
     // Attach the telemetry session to the producers this context
     // builds.  Everything downstream treats null as "off".
     if (_telemetry) {
-        if (_store && _telemetry->tracer())
+        if (_telemetry->tracer())
             _store->setTracer(_telemetry->tracer());
         if (_service)
             _service->setTelemetry(_telemetry);
@@ -135,8 +127,7 @@ ScenarioContext::materializeTrace(const std::string &workload,
 {
     if (!_settings.tracePath.empty()) {
         trace::TraceBufferPtr buffer =
-            _store ? _store->acquireFile(_settings.tracePath)
-                   : trace::materializeFile(_settings.tracePath);
+            _store->acquireFile(_settings.tracePath);
         // A synthetic buffer always holds `length` ops; demand the
         // same of a file so the run cannot silently truncate.
         fatalIf(buffer->records() < length,
@@ -147,11 +138,8 @@ ScenarioContext::materializeTrace(const std::string &workload,
                 static_cast<unsigned long long>(length));
         return buffer;
     }
-    const trace::WorkloadProfile &profile =
-        trace::profileByName(workload);
-    return _store
-               ? _store->acquireSynthetic(profile, seed, length)
-               : trace::materializeSynthetic(profile, seed, length);
+    return _store->acquireSynthetic(trace::profileByName(workload),
+                                    seed, length);
 }
 
 uint32_t
@@ -341,12 +329,11 @@ std::vector<std::string>
 documentedOptions(const std::vector<const Scenario *> &scenarios)
 {
     std::vector<std::string> keys = {
-        "scenario",   "list",       "threads",     "insts",
-        "seeds",      "quick",      "warmup",      "trace",
-        "tracestore", "tracecache", "storebytes",  "profile",
-        "workers",    "timeout",    "retries",     "backoff",
-        "spool",      "resume",     "faultinject", "telemetry",
-        "chrometrace", "progress"};
+        "scenario",    "list",      "threads",     "insts",
+        "seeds",       "quick",     "warmup",      "trace",
+        "storebytes",  "profile",   "workers",     "timeout",
+        "retries",     "backoff",   "spool",       "resume",
+        "faultinject", "telemetry", "chrometrace", "progress"};
     for (const Scenario *s : scenarios)
         collectOptionKeys(s->description, keys);
     std::sort(keys.begin(), keys.end());
@@ -394,8 +381,7 @@ scenarioMain(int argc, const char *const *argv)
         std::cerr << "usage: scenario=<name>|all [list=1] "
                      "[threads=N] "
                      "[insts=N] [seeds=N] [quick=1] "
-                     "[warmup=N] [trace=file.trc] [tracestore=0|1] "
-                     "[tracecache=dir] [storebytes=N] "
+                     "[warmup=N] [trace=file.trc] [storebytes=N] "
                      "[profile=0|1] "
                      "[workers=N] [timeout=S] [retries=N] "
                      "[backoff=MS] [spool=dir] [resume=dir] "
@@ -489,8 +475,7 @@ scenarioMain(int argc, const char *const *argv)
         // wave): trace-store levels are absolute, service counters
         // are the totals across scenarios.
         obs::MetricsRegistry &m = telemetry->metrics();
-        if (sharedStore)
-            addTraceStoreMetrics(m, sharedStore->stats());
+        addTraceStoreMetrics(m, sharedStore->stats());
         if (sawService)
             addServiceMetrics(m, serviceTotal);
         if (telemetry->progress())

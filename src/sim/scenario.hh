@@ -3,13 +3,13 @@
  * Scenario registry: every figure/table bench and example registers
  * itself here and runs through one driver entry point
  * (scenarioMain), so all of them share the same CLI overrides
- * (threads=, insts=, seeds=, quick=, warmup=, trace=,
- * tracestore=, tracecache=, storebytes=, profile=, the
- * sharded-service options workers=, timeout=, retries=, backoff=,
- * spool=, resume=, faultinject=, the telemetry options telemetry=,
- * chrometrace=, progress=, and for the Monte Carlo population
- * scenarios chips=, sigma=, syssigma=, chipseed=) and the same
- * parallel sweep runner instead of carrying near-duplicate main()s.
+ * (threads=, insts=, seeds=, quick=, warmup=, trace=, storebytes=,
+ * profile=, the sharded-service options workers=, timeout=,
+ * retries=, backoff=, spool=, resume=, faultinject=, the telemetry
+ * options telemetry=, chrometrace=, progress=, and for the Monte
+ * Carlo population scenarios chips=, sigma=, syssigma=, chipseed=)
+ * and the same parallel sweep runner instead of carrying
+ * near-duplicate main()s.
  *
  * See docs/OPTIONS.md for the consolidated option reference.
  */
@@ -45,13 +45,9 @@ struct ScenarioSettings
      * workload.  Already applied to the shared suite.
      */
     std::string tracePath;
-    /** Share one generate-once trace store across the scenario. */
-    bool traceStore = true;
     /** profile=1: single-run stats=1 reports add the host perf.*
      *  group (sim_wall_seconds, minsts_per_sec). */
     bool profile = false;
-    /** Disk-cache directory for the store; empty disables it. */
-    std::string traceCacheDir;
     /** In-memory byte cap of the trace store. */
     uint64_t storeBytes = 256ull << 20;
 };
@@ -67,7 +63,7 @@ class ScenarioContext
     /**
      * @param store a trace store to share across contexts (e.g. one
      *        per process for scenario=all); null builds a fresh one
-     *        from the parsed options when the store is enabled.
+     *        from the parsed options.
      * @param telemetry the process-wide telemetry session (the
      *        telemetry= / chrometrace= / progress= options, created
      *        once by scenarioMain); null = telemetry off.  The
@@ -87,10 +83,7 @@ class ScenarioContext
     /** The shared simulator (built on first use). */
     const Simulator &simulator();
 
-    /**
-     * The scenario's shared trace store; null when disabled with
-     * tracestore=0.
-     */
+    /** The scenario's shared trace store. */
     const std::shared_ptr<trace::TraceStore> &traceStore() const
     {
         return _store;
@@ -100,7 +93,7 @@ class ScenarioContext
      * The trace a pipeline-building scenario should replay for
      * (workload, seed): the whole trace= file when one was given,
      * otherwise @p length micro-ops of the synthetic workload.
-     * Served through the scenario's store when enabled.
+     * Served through the scenario's store.
      */
     trace::TraceBufferPtr materializeTrace(
         const std::string &workload, uint64_t seed,

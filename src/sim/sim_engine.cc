@@ -31,9 +31,9 @@ SimEngine::SimEngine(const Simulator &sim, const SimConfig &cfg)
                       _cfg.vcc, _cfg.core, _cfg.chip.get())
                 : nullptr),
       _opVcc(_vctl ? _vctl->initialVcc() : _cfg.vcc),
-      _src(sim.makeTraceSource(_cfg)),
+      _src(sim.traceFor(_cfg)),
       _mem(_cfg.mem),
-      _pipe(_cfg.core, _mem, *_src)
+      _pipe(_cfg.core, _mem, _src)
 {
     _res.config = _cfg;
 

@@ -32,7 +32,7 @@
 #include "iraw/controller.hh"
 #include "memory/hierarchy.hh"
 #include "sim/simulation.hh"
-#include "trace/trace_source.hh"
+#include "trace/trace_store.hh"
 
 namespace iraw {
 namespace sim {
@@ -83,7 +83,7 @@ class SimEngine
     std::unique_ptr<adapt::VccController> _vctl;
     circuit::MilliVolts _opVcc;
 
-    std::unique_ptr<trace::TraceSource> _src;
+    trace::ReplayTraceSource _src;
     memory::MemoryHierarchy _mem;
     core::Pipeline _pipe;
 

@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "sim/sim_engine.hh"
-#include "trace/trace_io.hh"
 #include "trace/workload.hh"
 #include "variation/chip_sample.hh"
 
@@ -28,6 +27,7 @@ missRatio(uint64_t accesses, uint64_t hits)
 }
 
 Simulator::Simulator()
+    : _traceStore(std::make_shared<trace::TraceStore>())
 {
     _logic = std::make_unique<circuit::LogicDelayModel>();
     _bitcell = std::make_unique<circuit::BitcellModel>(*_logic);
@@ -53,47 +53,35 @@ Simulator::run(const SimConfig &cfg) const
     return SimEngine(*this, cfg).run();
 }
 
-std::unique_ptr<trace::TraceSource>
-Simulator::makeTraceSource(const SimConfig &cfg) const
+void
+Simulator::setTraceStore(std::shared_ptr<trace::TraceStore> store)
 {
+    fatalIf(!store, "Simulator: null trace store");
+    _traceStore = std::move(store);
+}
+
+trace::TraceBufferPtr
+Simulator::traceFor(const SimConfig &cfg) const
+{
+    const uint64_t budget = cfg.warmupInstructions + cfg.instructions;
     if (!cfg.tracePath.empty()) {
         // A file shorter than the run budget would exhaust during
         // warmup and silently measure zero instructions; demand
         // enough records up front.
-        const uint64_t budget =
-            cfg.warmupInstructions + cfg.instructions;
-        auto checkLength = [&](uint64_t records) {
-            fatalIf(records < budget,
-                    "trace '%s' has %llu records but "
-                    "warmup+insts needs %llu; lower insts=/warmup= "
-                    "or supply a longer trace",
-                    cfg.tracePath.c_str(),
-                    static_cast<unsigned long long>(records),
-                    static_cast<unsigned long long>(budget));
-        };
-        if (_traceStore) {
-            trace::TraceBufferPtr buffer =
-                _traceStore->acquireFile(cfg.tracePath);
-            checkLength(buffer->records());
-            return std::make_unique<trace::ReplayTraceSource>(
-                std::move(buffer));
-        }
-        auto reader =
-            std::make_unique<trace::TraceReader>(cfg.tracePath);
-        checkLength(reader->recordCount());
-        return reader;
+        trace::TraceBufferPtr buffer =
+            _traceStore->acquireFile(cfg.tracePath);
+        fatalIf(buffer->records() < budget,
+                "trace '%s' has %llu records but "
+                "warmup+insts needs %llu; lower insts=/warmup= "
+                "or supply a longer trace",
+                cfg.tracePath.c_str(),
+                static_cast<unsigned long long>(buffer->records()),
+                static_cast<unsigned long long>(budget));
+        return buffer;
     }
-    if (_traceStore) {
-        uint64_t length = trace::replayLength(
-            cfg.warmupInstructions + cfg.instructions,
-            cfg.core.iqEntries);
-        return std::make_unique<trace::ReplayTraceSource>(
-            _traceStore->acquireSynthetic(
-                trace::profileByName(cfg.workload), cfg.seed,
-                length));
-    }
-    return std::make_unique<trace::SyntheticTraceGenerator>(
-        trace::profileByName(cfg.workload), cfg.seed);
+    return _traceStore->acquireSynthetic(
+        trace::profileByName(cfg.workload), cfg.seed,
+        trace::replayLength(budget, cfg.core.iqEntries));
 }
 
 } // namespace sim

@@ -1,6 +1,6 @@
 /**
  * @file
- * Top-level single-run simulator: wires circuit model, trace source,
+ * Top-level single-run simulator: wires circuit model, resident trace,
  * memory hierarchy and pipeline together for one (workload, Vcc,
  * mode) point and reports timing/energy-ready results.
  */
@@ -18,7 +18,6 @@
 #include "core/pipeline.hh"
 #include "iraw/controller.hh"
 #include "memory/hierarchy.hh"
-#include "trace/generator.hh"
 #include "trace/trace_store.hh"
 
 namespace iraw {
@@ -217,17 +216,13 @@ class Simulator
     SimResult run(const SimConfig &cfg) const;
 
     /**
-     * Share a trace store across runs: traces are materialized once
-     * per (workload, seed, length) and replayed from the store
-     * instead of being regenerated per run.  Null (the default)
-     * builds a fresh generator per run.  Results are bitwise
-     * identical either way.
+     * Replace the trace store every run replays from (a fresh
+     * default store is built at construction).  Traces are
+     * materialized once per (workload, seed, length); sharing one
+     * store across simulators shares the buffers.  Null is a usage
+     * error.
      */
-    void
-    setTraceStore(std::shared_ptr<trace::TraceStore> store)
-    {
-        _traceStore = std::move(store);
-    }
+    void setTraceStore(std::shared_ptr<trace::TraceStore> store);
 
     const std::shared_ptr<trace::TraceStore> &
     traceStore() const
@@ -273,11 +268,13 @@ class Simulator
     }
 
   private:
-    friend class SimEngine; // uses makeTraceSource()
+    friend class SimEngine; // uses traceFor()
 
-    /** The trace source for @p cfg (store-backed, file, or live). */
-    std::unique_ptr<trace::TraceSource>
-    makeTraceSource(const SimConfig &cfg) const;
+    /**
+     * The resident trace @p cfg replays, from the store: the whole
+     * trace= file, or replayLength(warmup + insts) synthetic ops.
+     */
+    trace::TraceBufferPtr traceFor(const SimConfig &cfg) const;
 
     std::unique_ptr<circuit::LogicDelayModel> _logic;
     std::unique_ptr<circuit::BitcellModel> _bitcell;

@@ -211,7 +211,8 @@ writeStatsReport(std::ostream &os, const SimResult &result)
 
     // Host wall time (profile=1 only): wall-clock numbers are
     // nondeterministic, so they stay out of default reports to keep
-    // output diffs (threads=1 vs N, store on/off) byte-identical.
+    // output diffs (threads=1 vs N, sharded vs in-process)
+    // byte-identical.
     if (result.config.profile) {
         const HostProfile &host = result.host;
         Group perf(report, "perf");
@@ -261,12 +262,6 @@ addTraceStoreMetrics(obs::MetricsRegistry &registry,
     store.counter("hits", stats.hits, "acquisitions served from memory");
     store.counter("misses", stats.misses,
                   "acquisitions that materialized");
-    store.counter("disk_hits", stats.diskHits,
-                  "misses served from the disk cache");
-    store.counter("disk_bad_files", stats.diskBadFiles,
-                  "corrupt cache files deleted on read");
-    store.counter("stale_tmp_files", stats.staleTmpFiles,
-                  "orphaned write-temporaries swept at startup");
     store.counter("evictions", stats.evictions,
                   "buffers dropped by the LRU cap");
     store.counter("buffers", stats.buffers, "resident trace buffers");

@@ -57,8 +57,8 @@ void writeServiceReport(std::ostream &os,
                         const service::ServiceStats &stats);
 
 /**
- * Register the trace store's counters (hits, misses, disk hits,
- * evictions, resident bytes, ...) as the `trace_store.*` group of
+ * Register the trace store's counters (hits, misses, evictions,
+ * resident bytes, ...) as the `trace_store.*` group of
  * @p registry.
  */
 void addTraceStoreMetrics(obs::MetricsRegistry &registry,

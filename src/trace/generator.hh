@@ -33,14 +33,6 @@
 namespace iraw {
 namespace trace {
 
-/**
- * Bump when the generation algorithm changes in any
- * output-affecting way: it is folded into the trace store's
- * synthetic keys, so disk-cached traces from older generators are
- * invalidated instead of silently replayed.
- */
-constexpr uint32_t kGeneratorVersion = 1;
-
 /** Deterministic synthetic trace source. */
 class SyntheticTraceGenerator : public TraceSource
 {

@@ -1,8 +1,10 @@
 /**
  * @file
- * Abstract source of dynamic micro-op traces.  The pipeline consumes
- * any TraceSource; concrete sources are the synthetic generator
- * (workload models) and the binary trace file reader.
+ * Abstract source of dynamic micro-op traces: the synthetic
+ * generator (workload models), the binary trace file reader and the
+ * trace store's replay cursor.  The pipeline fetches only from a
+ * replay cursor (trace/trace_store.hh); the other sources feed
+ * materialization, analysis and trace dumps.
  */
 
 #ifndef IRAW_TRACE_TRACE_SOURCE_HH
@@ -15,8 +17,6 @@
 namespace iraw {
 namespace trace {
 
-class ReplayTraceSource;
-
 /** Pull interface for dynamic instruction streams. */
 class TraceSource
 {
@@ -25,14 +25,6 @@ class TraceSource
 
     /** Next micro-op, or std::nullopt at end of trace. */
     virtual std::optional<isa::MicroOp> next() = 0;
-
-    /**
-     * Store-backed replay sources return themselves so the pipeline
-     * can use the non-virtual zero-copy cursor (ReplayTraceSource::
-     * take()) instead of paying a virtual call plus a record unpack
-     * per fetched micro-op; streaming sources return null.
-     */
-    virtual ReplayTraceSource *replay() { return nullptr; }
 
     /** Restart the stream from the beginning. */
     virtual void reset() = 0;

@@ -17,10 +17,8 @@
  *    bounded by an LRU byte cap (evicted buffers stay alive for
  *    workers still holding them — eviction only drops the store's
  *    reference);
- *  - an optional disk layer round-trips buffers through the
- *    TraceWriter/TraceReader binary format, so traces persist across
- *    processes and real-workload trace files plug in as scenarios.
- *    Records are packed only there, at the file boundary.
+ *  - trace files load whole into the same buffers, so every
+ *    simulation replays a resident trace, synthetic or not.
  */
 
 #ifndef IRAW_TRACE_TRACE_STORE_HH
@@ -86,7 +84,6 @@ class ReplayTraceSource : public TraceSource
     std::optional<isa::MicroOp> next() override;
     void reset() override;
     std::string name() const override;
-    ReplayTraceSource *replay() override { return this; }
 
     /**
      * Zero-copy cursor step: a pointer to the next decoded micro-op
@@ -115,7 +112,8 @@ class ReplayTraceSource : public TraceSource
  * from an unbounded live generator: the pipeline consumes at most
  * the commit budget plus whatever fits in flight (IQ entries + the
  * fetch lookahead), so this margin guarantees the replay never hits
- * end-of-trace — and its drain-NOP path — before the run completes.
+ * end-of-trace — and its drain-NOP path — before the run completes
+ * (PipelineTest.ReplayLengthCoversTheFetchLookahead).
  */
 inline uint64_t
 replayLength(uint64_t instBudget, uint32_t iqEntries)
@@ -141,19 +139,12 @@ class TraceStore
     {
         /** In-memory footprint bound; at least one buffer is kept. */
         uint64_t byteCap = 256ull << 20;
-        /** Disk-cache directory; empty disables the disk layer. */
-        std::string diskDir;
     };
 
     struct Stats
     {
-        uint64_t hits = 0;     //!< acquisitions served from memory
-        uint64_t misses = 0;   //!< acquisitions that materialized
-        uint64_t diskHits = 0; //!< misses served from the disk layer
-        /** Corrupt/truncated disk-cache files deleted on read. */
-        uint64_t diskBadFiles = 0;
-        /** Stale write-temporaries swept at construction. */
-        uint64_t staleTmpFiles = 0;
+        uint64_t hits = 0;   //!< acquisitions served from memory
+        uint64_t misses = 0; //!< acquisitions that materialized
         uint64_t evictions = 0;
         uint64_t buffers = 0;    //!< resident buffer count
         uint64_t bytesInUse = 0; //!< resident payload bytes
@@ -233,7 +224,6 @@ class TraceStore
     /** Account a finished materialization and enforce the byte cap. */
     void finalize(const Key &key, const TraceBufferPtr &buffer)
         EXCLUDES(_mutex);
-    std::string diskPathFor(const Key &key) const;
 
     Config _cfg;
     /** Set once before workers run (see setTracer); read-only after. */

@@ -339,7 +339,7 @@ std::string
 adaptParseError(std::initializer_list<const char *> args,
                 adapt::AdaptConfig *out = nullptr)
 {
-    std::vector<const char *> argv = {"prog", "tracestore=0"};
+    std::vector<const char *> argv = {"prog"};
     argv.insert(argv.end(), args.begin(), args.end());
     OptionMap opts = OptionMap::parse(
         static_cast<int>(argv.size()), argv.data());

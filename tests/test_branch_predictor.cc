@@ -109,54 +109,50 @@ TEST(Predictors, AccuracyIsPerfectWithoutPredictions)
 TEST(Predictors, ResetRestoresPowerOnBehaviour)
 {
     for (const char *kind : {"bimodal", "gshare", "hybrid"}) {
-        auto fresh = makePredictor(kind, 512, 8);
-        auto used = makePredictor(kind, 512, 8);
+        InlinePredictor fresh(kind, 512, 8);
+        InlinePredictor used(kind, 512, 8);
         Pcg32 rng(7);
         for (int i = 0; i < 2000; ++i)
-            used->update(0x400000 + (i % 37) * 4, rng.chance(0.6));
-        used->reset();
-        EXPECT_EQ(used->predictions(), 0u) << kind;
+            used.update(0x400000 + (i % 37) * 4, rng.chance(0.6));
+        used.reset();
+        EXPECT_EQ(used.predictions(), 0u) << kind;
         // After reset the trained predictor must track a pristine
         // one decision-for-decision.
         Pcg32 replay(13);
         for (int i = 0; i < 2000; ++i) {
             uint64_t pc = 0x500000 + (i % 53) * 4;
             bool taken = replay.chance(0.5);
-            EXPECT_EQ(used->predict(pc), fresh->predict(pc))
+            EXPECT_EQ(used.predict(pc), fresh.predict(pc))
                 << kind << " diverged at step " << i;
-            EXPECT_EQ(used->update(pc, taken),
-                      fresh->update(pc, taken))
+            EXPECT_EQ(used.update(pc, taken), fresh.update(pc, taken))
                 << kind << " diverged at step " << i;
         }
     }
 }
 
-TEST(InlineDispatch, MatchesPolymorphicPredictorExactly)
+TEST(InlineDispatch, FusedSequenceMatchesSeparateCalls)
 {
     for (const char *kind : {"bimodal", "gshare", "hybrid"}) {
-        auto poly = makePredictor(kind, 512, 8);
-        InlinePredictor inl(kind, 512, 8);
-        EXPECT_EQ(inl.name(), poly->name());
-        EXPECT_EQ(inl.totalBits(), poly->totalBits());
-        EXPECT_EQ(inl.numEntries(), poly->numEntries());
+        InlinePredictor separate(kind, 512, 8);
+        InlinePredictor fused(kind, 512, 8);
         Pcg32 rng(21);
         for (int i = 0; i < 3000; ++i) {
             uint64_t pc = 0x600000 + (i % 97) * 4;
             bool taken = rng.chance(0.55);
             // The fused per-branch sequence must replicate the
             // pipeline's historical entryIndex/predict/update order.
-            uint32_t index = poly->entryIndex(pc);
-            bool pred = poly->predict(pc);
-            bool flipped = poly->update(pc, taken);
-            PredictOutcome out = inl.predictAndTrain(pc, taken);
+            uint32_t index = separate.entryIndex(pc);
+            bool pred = separate.predict(pc);
+            bool flipped = separate.update(pc, taken);
+            PredictOutcome out = fused.predictAndTrain(pc, taken);
             EXPECT_EQ(out.index, index) << kind << " step " << i;
             EXPECT_EQ(out.taken, pred) << kind << " step " << i;
             EXPECT_EQ(out.flipped, flipped)
                 << kind << " step " << i;
         }
-        EXPECT_EQ(inl.predictions(), poly->predictions());
-        EXPECT_EQ(inl.mispredictions(), poly->mispredictions());
-        EXPECT_EQ(inl.accuracy(), poly->accuracy());
+        EXPECT_EQ(fused.predictions(), separate.predictions());
+        EXPECT_EQ(fused.mispredictions(), separate.mispredictions());
+        EXPECT_EQ(fused.accuracy(), separate.accuracy());
     }
 }
 
@@ -168,15 +164,10 @@ TEST(InlineDispatch, FactoryRejectsUnknown)
 TEST(Predictors, EntryIndexWithinRange)
 {
     for (const char *kind : {"bimodal", "gshare", "hybrid"}) {
-        auto p = makePredictor(kind, 1024, 10);
+        InlinePredictor p(kind, 1024, 10);
         for (uint64_t pc = 0; pc < 100000; pc += 4096 + 4)
-            EXPECT_LT(p->entryIndex(pc), p->numEntries());
+            EXPECT_LT(p.entryIndex(pc), p.numEntries());
     }
-}
-
-TEST(Predictors, FactoryRejectsUnknown)
-{
-    EXPECT_THROW(makePredictor("neural"), FatalError);
 }
 
 TEST(Predictors, RejectNonPowerOf2Entries)

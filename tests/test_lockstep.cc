@@ -21,23 +21,26 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hh"
-#include "trace/generator.hh"
+#include "trace/trace_store.hh"
 #include "trace/workload.hh"
 
 namespace iraw {
 namespace core {
 namespace {
 
+/** One core replaying a workload trace long enough for @p insts. */
 struct Core
 {
-    trace::SyntheticTraceGenerator gen;
+    trace::ReplayTraceSource src;
     memory::MemoryHierarchy mem;
     Pipeline pipe;
 
     Core(const CoreConfig &cfg, const std::string &workload,
-         uint64_t traceSeed)
-        : gen(trace::profileByName(workload), traceSeed),
-          mem(memory::MemoryConfig{}), pipe(cfg, mem, gen)
+         uint64_t traceSeed, uint64_t insts)
+        : src(trace::materializeSynthetic(
+              trace::profileByName(workload), traceSeed,
+              trace::replayLength(insts, cfg.iqEntries))),
+          mem(memory::MemoryConfig{}), pipe(cfg, mem, src)
     {
         mem.setDramLatencyCycles(100);
         mechanism::IrawSettings s;
@@ -50,8 +53,8 @@ struct Core
 TEST(LockStep, ProtectedMachineIsCycleExact)
 {
     CoreConfig cfg;
-    Core a(cfg, "spec2006int", 1);
-    Core b(cfg, "spec2006int", 1);
+    Core a(cfg, "spec2006int", 1, 20000);
+    Core b(cfg, "spec2006int", 1, 20000);
     // Compare progress at several checkpoints, the way a tester
     // compares outputs periodically.
     for (uint64_t checkpoint : {5000ull, 10000ull, 20000ull}) {
@@ -75,8 +78,8 @@ TEST(LockStep, AnalogCorruptionBreaksLockStepWithoutDeterminismMode)
     CoreConfig cfgB = cfgA;
     cfgB.corruptionSeed = 2222;
 
-    Core a(cfgA, "office", 7);
-    Core b(cfgB, "office", 7);
+    Core a(cfgA, "office", 7, 150000);
+    Core b(cfgB, "office", 7, 150000);
     const auto &sa = a.pipe.run(150000);
     const auto &sb = b.pipe.run(150000);
 
@@ -107,8 +110,8 @@ TEST(LockStep, DeterminismModeRestoresLockStep)
     CoreConfig cfgB = cfgA;
     cfgB.corruptionSeed = 2222;
 
-    Core a(cfgA, "office", 7);
-    Core b(cfgB, "office", 7);
+    Core a(cfgA, "office", 7, 80000);
+    Core b(cfgB, "office", 7, 80000);
     const auto &sa = a.pipe.run(80000);
     const auto &sb = b.pipe.run(80000);
     // RSB conflicts became stalls, identical on both cores.
@@ -126,8 +129,8 @@ TEST(LockStep, DeterminismModeRestoresLockStep)
 TEST(LockStep, BaselineMachineTriviallyDeterministic)
 {
     CoreConfig cfg;
-    Core a(cfg, "kernels", 3);
-    Core b(cfg, "kernels", 3);
+    Core a(cfg, "kernels", 3, 30000);
+    Core b(cfg, "kernels", 3, 30000);
     mechanism::IrawSettings off;
     off.enabled = false;
     a.pipe.applySettings(off);

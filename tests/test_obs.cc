@@ -28,6 +28,7 @@
 #include "service/supervisor.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
+#include "sim/stats_report.hh"
 
 namespace iraw {
 namespace obs {
@@ -379,6 +380,50 @@ TEST(TelemetryInvariance, CrashInjectedShardedRunMergesOneTrace)
     EXPECT_EQ(leftover, 0u);
 
     fs::remove_all(dir);
+}
+
+TEST(TelemetrySession, WritesValidManifestAndTrace)
+{
+    // The two files telemetry= and chrometrace= leave behind, written
+    // through the session with the driver's session-level groups.
+    const std::string base = ::testing::TempDir() + "iraw_obs_session";
+    TelemetryConfig cfg;
+    cfg.manifestPath = base + ".manifest.json";
+    cfg.chromeTracePath = base + ".trace.json";
+    TelemetrySession session(cfg);
+
+    trace::TraceStore store;
+    store.acquireSynthetic(trace::profileByName("kernels"), 1, 1000);
+    sim::addTraceStoreMetrics(session.metrics(), store.stats());
+    service::ServiceStats svc;
+    svc.calls = 1;
+    sim::addServiceMetrics(session.metrics(), svc);
+    {
+        EventTracer::Span span(session.tracer().get(), "unit", "test");
+    }
+    ASSERT_TRUE(session.writeManifest());
+    ASSERT_TRUE(session.writeChromeTrace());
+
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        return text.str();
+    };
+    const std::string manifest = slurp(cfg.manifestPath);
+    EXPECT_TRUE(structurallyValidJson(manifest)) << manifest;
+    EXPECT_NE(manifest.find("\"trace_store\": {"), std::string::npos)
+        << manifest;
+    EXPECT_NE(manifest.find("\"misses\": 1"), std::string::npos)
+        << manifest;
+    EXPECT_NE(manifest.find("\"service\": {"), std::string::npos)
+        << manifest;
+    const std::string chrome = slurp(cfg.chromeTracePath);
+    EXPECT_TRUE(structurallyValidJson(chrome)) << chrome;
+    EXPECT_NE(chrome.find("\"unit\""), std::string::npos) << chrome;
+
+    fs::remove(cfg.manifestPath);
+    fs::remove(cfg.chromeTracePath);
 }
 
 } // namespace

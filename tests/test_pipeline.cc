@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/pipeline.hh"
-#include "trace/generator.hh"
 #include "trace/trace_store.hh"
 #include "trace/workload.hh"
 
@@ -26,18 +25,25 @@ settings(bool enabled, uint32_t n)
     return s;
 }
 
+/** The longest run any Rig test makes. */
+constexpr uint64_t kRigInsts = 30000;
+
+/** A pipeline replaying a synthetic workload's trace, materialized
+ *  long enough for runs of up to @p insts instructions. */
 struct Rig
 {
     memory::MemoryConfig memCfg;
     CoreConfig coreCfg;
-    trace::SyntheticTraceGenerator gen;
+    trace::ReplayTraceSource src;
     memory::MemoryHierarchy mem;
     Pipeline pipe;
 
     explicit Rig(const std::string &workload = "spec2006int",
-                 uint64_t seed = 1)
-        : gen(trace::profileByName(workload), seed), mem(memCfg),
-          pipe(coreCfg, mem, gen)
+                 uint64_t seed = 1, uint64_t insts = kRigInsts)
+        : src(trace::materializeSynthetic(
+              trace::profileByName(workload), seed,
+              trace::replayLength(insts, coreCfg.iqEntries))),
+          mem(memCfg), pipe(coreCfg, mem, src)
     {
         mem.setDramLatencyCycles(80);
     }
@@ -304,7 +310,7 @@ TEST(PipelineTest, ResetAllowsRerun)
     rig.pipe.applySettings(settings(true, 1));
     const auto first = rig.pipe.run(10000);
     rig.pipe.reset();
-    rig.gen.reset();
+    rig.src.reset();
     rig.mem.reset();
     const auto &second = rig.pipe.run(10000);
     EXPECT_EQ(first.cycles, second.cycles);
@@ -315,11 +321,12 @@ TEST(PipelineTest, DeterminismModeStallsRsbConflicts)
     CoreConfig cfg;
     cfg.determinismMode = true;
     memory::MemoryConfig mc;
-    trace::SyntheticTraceGenerator gen(
-        trace::profileByName("office"), 3);
+    trace::ReplayTraceSource src(trace::materializeSynthetic(
+        trace::profileByName("office"), 3,
+        trace::replayLength(30000, cfg.iqEntries)));
     memory::MemoryHierarchy mem(mc);
     mem.setDramLatencyCycles(80);
-    Pipeline pipe(cfg, mem, gen);
+    Pipeline pipe(cfg, mem, src);
     pipe.applySettings(settings(true, 1));
     const auto &s = pipe.run(30000);
     // Determinism mode converts window pops into stalls, never into
@@ -336,6 +343,25 @@ TEST(PipelineTest, EveryWorkloadRuns)
         const auto &s = rig.pipe.run(5000);
         EXPECT_EQ(s.committedInsts, 5000u) << profile.name;
         EXPECT_GT(s.ipc(), 0.05) << profile.name;
+    }
+}
+
+TEST(PipelineTest, ReplayLengthCoversTheFetchLookahead)
+{
+    // Why a bounded replay is the unbounded stream: a run commits
+    // its whole budget from a replayLength() buffer and leaves ops
+    // unread, so the frontend (IQ and fetch lookahead included)
+    // never reaches end-of-trace and its drain-NOP path.
+    const uint64_t insts = 20000;
+    for (const auto &profile : trace::builtinProfiles()) {
+        for (uint32_t n : {0u, 2u}) {
+            SCOPED_TRACE(profile.name + " N=" + std::to_string(n));
+            Rig rig(profile.name, 1, insts);
+            rig.pipe.applySettings(settings(n > 0, n));
+            EXPECT_EQ(rig.pipe.run(insts).committedInsts, insts);
+            EXPECT_NE(rig.src.take(), nullptr)
+                << "the frontend read the whole buffer";
+        }
     }
 }
 

@@ -30,6 +30,8 @@
 #include "service/supervisor.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
+#include "trace/generator.hh"
+#include "trace/trace_io.hh"
 
 namespace iraw {
 namespace service {
@@ -477,6 +479,49 @@ TEST_F(ServiceRunTest, CorruptCompletedSpoolRejectedOnResume)
     EXPECT_EQ(stats.shardsCompleted, 1u);
     EXPECT_GE(stats.badRecords, 1u);
     EXPECT_EQ(stats.shardsFailed, 0u);
+}
+
+TEST_F(ServiceRunTest, ResumeRerunsShardsOfARewrittenTraceFile)
+{
+    // Invariant 8: a trace= file's shards are named by its bytes,
+    // not only its path, so a file rewritten between a complete run
+    // and a resume reruns instead of merging the old trace's results.
+    const std::string path = _dir + ".trc";
+    auto dump = [&path](const char *workload) {
+        trace::SyntheticTraceGenerator gen(
+            trace::profileByName(workload), 1);
+        trace::dumpTrace(gen, path, 6000);
+    };
+    std::vector<sim::SimConfig> configs;
+    for (double vcc : {450.0, 500.0}) {
+        sim::SimConfig cfg;
+        cfg.workload = "file";
+        cfg.tracePath = path;
+        cfg.instructions = 4000;
+        cfg.warmupInstructions = 1000;
+        cfg.vcc = vcc;
+        configs.push_back(cfg);
+    }
+
+    dump("kernels");
+    {
+        sim::Simulator sim;
+        ServiceSession session(baseConfig());
+        runSharded(sim, session, configs, 2);
+        ASSERT_EQ(session.stats().shardsCompleted, 1u);
+    }
+
+    dump("server");
+    // A fresh simulator: its store never loaded the old file.
+    sim::Simulator sim;
+    ServiceConfig cfg = baseConfig();
+    cfg.resume = true;
+    ServiceSession session(cfg);
+    std::vector<sim::SimResult> resumed =
+        runSharded(sim, session, configs, 2);
+    EXPECT_EQ(session.stats().shardsReused, 0u);
+    expectResultsIdentical(resumed, inProcess(sim, configs));
+    fs::remove(path);
 }
 
 TEST_F(ServiceRunTest, HungWorkerEscalatesSigtermToSigkill)

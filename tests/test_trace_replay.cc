@@ -11,17 +11,19 @@
 #include "core/pipeline.hh"
 #include "trace/generator.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_store.hh"
 
 namespace iraw {
 namespace {
 
 core::PipelineStats
-runSource(trace::TraceSource &src, uint64_t insts)
+runTrace(const trace::TraceBufferPtr &buffer, uint64_t insts)
 {
     core::CoreConfig cfg;
     memory::MemoryConfig mc;
     memory::MemoryHierarchy mem(mc);
     mem.setDramLatencyCycles(100);
+    trace::ReplayTraceSource src(buffer);
     core::Pipeline pipe(cfg, mem, src);
     mechanism::IrawSettings s;
     s.enabled = true;
@@ -35,16 +37,16 @@ TEST(TraceReplay, FileAndGeneratorAgreeCycleExactly)
     std::string path =
         ::testing::TempDir() + "iraw_replay_test.trc";
     const uint64_t insts = 20000;
+    const trace::WorkloadProfile &profile =
+        trace::profileByName("spec2006int");
 
-    trace::SyntheticTraceGenerator gen(
-        trace::profileByName("spec2006int"), 9);
+    trace::SyntheticTraceGenerator gen(profile, 9);
     trace::dumpTrace(gen, path, insts + 1000);
 
-    gen.reset();
-    core::PipelineStats live = runSource(gen, insts);
-
-    trace::TraceReader reader(path);
-    core::PipelineStats replay = runSource(reader, insts);
+    core::PipelineStats live = runTrace(
+        trace::materializeSynthetic(profile, 9, insts + 1000), insts);
+    core::PipelineStats replay =
+        runTrace(trace::materializeFile(path), insts);
 
     EXPECT_EQ(live.cycles, replay.cycles);
     EXPECT_EQ(live.committedInsts, replay.committedInsts);
@@ -63,8 +65,8 @@ TEST(TraceReplay, ShortTraceEndsSimulationGracefully)
         trace::profileByName("kernels"), 2);
     trace::dumpTrace(gen, path, 500);
 
-    trace::TraceReader reader(path);
-    core::PipelineStats stats = runSource(reader, 100000);
+    core::PipelineStats stats =
+        runTrace(trace::materializeFile(path), 100000);
     // The run ends when the trace does; drain NOPs may issue to
     // flush the IQ past the Eq. (1) gate.
     EXPECT_EQ(stats.committedInsts, 500u);

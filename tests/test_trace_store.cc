@@ -1,25 +1,21 @@
 /** @file
  * The generate-once trace store: replay fidelity, once-per-key
  * thread-safe materialization, resident-byte accounting and LRU
- * byte-cap eviction, the disk-cache layer, and bitwise determinism of
- * sweep aggregates with the store on vs off, through the disk cache
- * and across thread counts.
+ * byte-cap eviction, whole-file loading, and a sweep that
+ * materializes each trace once with bitwise-identical aggregates
+ * across thread counts.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <array>
-#include <filesystem>
-#include <fstream>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "sim/runner.hh"
 #include "trace/generator.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_record.hh"
 #include "trace/trace_store.hh"
 
 namespace iraw {
@@ -31,16 +27,6 @@ namespace {
 // 1-byte fields placed between the 8-byte ones pad it to 56.
 static_assert(sizeof(isa::MicroOp) == 40,
               "MicroOp is the resident trace format: keep it 40 bytes");
-
-/** @p buffer's ops in the file encoding: a bitwise view for equality. */
-std::vector<uint8_t>
-packed(const TraceBuffer &buffer)
-{
-    std::vector<uint8_t> bytes(buffer.records() * kTraceRecordBytes);
-    for (uint64_t i = 0; i < buffer.records(); ++i)
-        packRecord(buffer.ops()[i], bytes.data() + i * kTraceRecordBytes);
-    return bytes;
-}
 
 TEST(TraceBuffer, ReplayMatchesLiveGenerator)
 {
@@ -216,155 +202,10 @@ TEST(TraceStore, EvictedBufferStaysAliveForHolders)
     EXPECT_EQ(held->at(0).seqNum, 1u);
 }
 
-class TraceStoreDiskTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        _dir = ::testing::TempDir() + "iraw_store_" +
-               ::testing::UnitTest::GetInstance()
-                   ->current_test_info()
-                   ->name();
-        std::filesystem::remove_all(_dir);
-    }
-    void TearDown() override { std::filesystem::remove_all(_dir); }
-    std::string _dir;
-};
-
-TEST_F(TraceStoreDiskTest, DiskCacheRoundTrip)
-{
-    const WorkloadProfile &profile = profileByName("server");
-    TraceStore::Config cfg;
-    cfg.diskDir = _dir;
-
-    TraceBufferPtr fresh;
-    {
-        TraceStore store(cfg);
-        fresh = store.acquireSynthetic(profile, 4, 5000);
-        EXPECT_EQ(store.stats().diskHits, 0u);
-    }
-    // The materialization was published as a trace file.
-    ASSERT_FALSE(std::filesystem::is_empty(_dir));
-
-    // A fresh store (fresh process) hits the disk layer.
-    TraceStore store2(cfg);
-    TraceBufferPtr cached = store2.acquireSynthetic(profile, 4, 5000);
-    TraceStore::Stats stats = store2.stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.diskHits, 1u);
-
-    ASSERT_EQ(cached->records(), fresh->records());
-    EXPECT_EQ(packed(*cached), packed(*fresh));
-}
-
-TEST_F(TraceStoreDiskTest, CorruptCacheFileDeletedAndRegenerated)
-{
-    namespace fs = std::filesystem;
-    const WorkloadProfile &profile = profileByName("server");
-    TraceStore::Config cfg;
-    cfg.diskDir = _dir;
-
-    TraceBufferPtr fresh;
-    {
-        TraceStore store(cfg);
-        fresh = store.acquireSynthetic(profile, 9, 4000);
-    }
-    // Truncate the published cache file mid-record, as a crash or
-    // disk error would.
-    fs::path cached;
-    for (const auto &entry : fs::directory_iterator(_dir))
-        cached = entry.path();
-    ASSERT_FALSE(cached.empty());
-    fs::resize_file(cached, fs::file_size(cached) / 2 + 3);
-
-    // A fresh store must delete the bad file, regenerate the exact
-    // trace, and republish it.
-    TraceStore store2(cfg);
-    TraceBufferPtr regen = store2.acquireSynthetic(profile, 9, 4000);
-    TraceStore::Stats stats = store2.stats();
-    EXPECT_EQ(stats.diskHits, 0u);
-    EXPECT_EQ(stats.diskBadFiles, 1u);
-    EXPECT_EQ(packed(*regen), packed(*fresh));
-
-    // The republished file serves a third store from disk.
-    TraceStore store3(cfg);
-    EXPECT_EQ(packed(*store3.acquireSynthetic(profile, 9, 4000)),
-              packed(*fresh));
-    EXPECT_EQ(store3.stats().diskHits, 1u);
-    EXPECT_EQ(store3.stats().diskBadFiles, 0u);
-}
-
-TEST_F(TraceStoreDiskTest, FailedPublishKeepsTheTrace)
-{
-    namespace fs = std::filesystem;
-    const WorkloadProfile &profile = profileByName("server");
-    TraceStore::Config cfg;
-    cfg.diskDir = _dir;
-    {
-        TraceStore store(cfg);
-        store.acquireSynthetic(profile, 5, 3000);
-    }
-    fs::path published;
-    for (const auto &entry : fs::directory_iterator(_dir))
-        published = entry.path();
-    ASSERT_FALSE(published.empty());
-
-    // Drop the cache file and put a directory where the next
-    // publish writes its temporary, so the TraceWriter cannot open
-    // it -- as an unwritable directory or a full disk would fail.
-    fs::remove(published);
-    fs::create_directory(published.string() + ".tmp." +
-                         std::to_string(::getpid()));
-
-    TraceStore store2(cfg);
-    TraceBufferPtr buffer;
-    ASSERT_NO_THROW(buffer = store2.acquireSynthetic(profile, 5, 3000));
-    EXPECT_EQ(packed(*buffer),
-              packed(*materializeSynthetic(profile, 5, 3000)));
-    EXPECT_EQ(store2.stats().diskHits, 0u);
-    // Nothing was published and no temporary was left behind.
-    for (const auto &entry : fs::directory_iterator(_dir))
-        EXPECT_FALSE(entry.is_regular_file()) << entry.path();
-}
-
-TEST_F(TraceStoreDiskTest, StaleTmpLeftoversSweptAtConstruction)
-{
-    namespace fs = std::filesystem;
-    fs::create_directories(_dir);
-    // A write-temporary from a long-gone process (pid 1 is alive but
-    // never a test writer; use an unparseable and a dead-pid name).
-    const std::string dead =
-        _dir + "/synth_x_s1_n100_h1.v1.trc.tmp.999999999";
-    const std::string garbled =
-        _dir + "/synth_x_s1_n100_h1.v1.trc.tmp.notapid";
-    const std::string live =
-        _dir + "/synth_x_s1_n100_h1.v1.trc.tmp." +
-        std::to_string(::getpid());
-    const std::string published = _dir + "/synth_y.v1.trc";
-    for (const std::string &p : {dead, garbled, live, published}) {
-        std::ofstream out(p);
-        out << "x";
-    }
-
-    TraceStore::Config cfg;
-    cfg.diskDir = _dir;
-    TraceStore store(cfg);
-
-    EXPECT_FALSE(fs::exists(dead));
-    EXPECT_FALSE(fs::exists(garbled));
-    // Our own pid is alive: the temporary may belong to a concurrent
-    // writer and must survive the sweep.  Published files too.
-    EXPECT_TRUE(fs::exists(live));
-    EXPECT_TRUE(fs::exists(published));
-    EXPECT_EQ(store.stats().staleTmpFiles, 2u);
-}
-
-TEST_F(TraceStoreDiskTest, AcquireFileServesWholeTrace)
+TEST(TraceStore, AcquireFileServesWholeTrace)
 {
     const WorkloadProfile &profile = profileByName("office");
-    std::filesystem::create_directories(_dir);
-    const std::string path = _dir + "/input.trc";
+    const std::string path = ::testing::TempDir() + "iraw_store_input.trc";
     SyntheticTraceGenerator gen(profile, 11);
     dumpTrace(gen, path, 3000);
 
@@ -384,6 +225,7 @@ TEST_F(TraceStoreDiskTest, AcquireFileServesWholeTrace)
 
     EXPECT_EQ(store.acquireFile(path).get(), buffer.get());
     EXPECT_EQ(store.stats().hits, 1u);
+    std::remove(path.c_str());
 }
 
 } // namespace
@@ -427,59 +269,20 @@ expectMachinesBitwiseEqual(const std::vector<MachineAtVcc> &a,
     }
 }
 
-TEST(TraceStoreSweep, StoreOnOffAggregatesBitwiseIdentical)
+TEST(TraceStoreSweep, SweepMaterializesEachTraceOnce)
 {
-    Simulator plain;
-    Simulator stored;
-    stored.setTraceStore(std::make_shared<trace::TraceStore>());
+    Simulator sim;
+    SweepRunner(sim).runMachines(smallSweep(), smallPoints());
 
-    auto off = SweepRunner(plain).runMachines(smallSweep(),
-                                              smallPoints());
-    auto on = SweepRunner(stored).runMachines(smallSweep(),
-                                              smallPoints());
-    expectMachinesBitwiseEqual(off, on);
-
-    // The store actually served the sweep: 3 traces materialized,
-    // every other acquisition a hit.
-    auto stats = stored.traceStore()->stats();
+    // 3 traces materialized, every other acquisition a hit.
+    auto stats = sim.traceStore()->stats();
     EXPECT_EQ(stats.misses, 3u);
     EXPECT_EQ(stats.hits, 3u * 3u - 3u);
-}
-
-TEST(TraceStoreSweep, DiskCacheAggregatesBitwiseIdentical)
-{
-    namespace fs = std::filesystem;
-    const std::string dir = ::testing::TempDir() + "iraw_store_sweep";
-    fs::remove_all(dir);
-    trace::TraceStore::Config cfg;
-    cfg.diskDir = dir;
-
-    Simulator plain;
-    auto off = SweepRunner(plain).runMachines(smallSweep(),
-                                              smallPoints());
-
-    // Two fresh stores on one directory, as two processes would
-    // see it: the first generates and publishes every trace, the
-    // second must replay all of them from disk.
-    for (int process = 0; process < 2; ++process) {
-        Simulator cached;
-        cached.setTraceStore(std::make_shared<trace::TraceStore>(cfg));
-        auto on = SweepRunner(cached).runMachines(smallSweep(),
-                                                  smallPoints());
-        expectMachinesBitwiseEqual(off, on);
-
-        auto stats = cached.traceStore()->stats();
-        EXPECT_GT(stats.misses, 0u);
-        EXPECT_EQ(stats.diskHits, process == 0 ? 0u : stats.misses)
-            << "store " << process;
-    }
-    fs::remove_all(dir);
 }
 
 TEST(TraceStoreSweep, CrossThreadAggregatesBitwiseIdentical)
 {
     Simulator sim;
-    sim.setTraceStore(std::make_shared<trace::TraceStore>());
 
     auto serial = SweepRunner(sim, RunnerConfig{1})
                       .runMachines(smallSweep(), smallPoints());
@@ -497,7 +300,6 @@ TEST(TraceStoreSweep, FileTraceSuiteEntryReplays)
     trace::dumpTrace(gen, path, 10000);
 
     Simulator sim;
-    sim.setTraceStore(std::make_shared<trace::TraceStore>());
     SweepConfig cfg;
     cfg.suite = {SuiteEntry("file", 1, 4000, path)};
     cfg.warmupInstructions = 2000;

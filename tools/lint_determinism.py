@@ -3,12 +3,12 @@
 
 The repo's central claim (docs/ARCHITECTURE.md, "Determinism
 invariants") is that every optimisation layer is bitwise invisible:
-threads=1 == threads=N, tracestore on == off,
-profile on == off, and all randomness a pure function of explicit
-seeds.  Runtime diff tests enforce that claim end to end; this linter
-enforces the *source patterns* that keep it true, so a violation is
-caught at review time instead of as a flaky golden diff three PRs
-later.
+threads=1 == threads=N, a bounded trace replay == the unbounded
+stream, profile on == off, and all randomness a pure function of
+explicit seeds.  Runtime diff tests enforce that claim end to end;
+this linter enforces the *source patterns* that keep it true, so a
+violation is caught at review time instead of as a flaky golden
+diff three PRs later.
 
 Rules (each maps to a numbered invariant in docs/ARCHITECTURE.md):
 
