@@ -52,6 +52,7 @@
 #include "adapt/power_model.hh"
 #include "circuit/energy.hh"
 #include "circuit/voltage.hh"
+#include "common/field_count.hh"
 #include "iraw/controller.hh"
 
 namespace iraw {
@@ -295,7 +296,27 @@ struct AdaptSegment
     circuit::EnergyBreakdown energy;
 
     double execTimeAu() const { return cycles * cycleTimeAu; }
+
+    /** The one list of a segment's values (see
+     *  core::PipelineStats::fields), energy inline. */
+    template <class V, class... R>
+    static void
+    fields(V &&v, R &...r)
+    {
+        v("vcc", r.vcc...);
+        v("cycleTimeAu", r.cycleTimeAu...);
+        v("irawOn", r.irawOn...);
+        v("cycles", r.cycles...);
+        v("settleCycles", r.settleCycles...);
+        v("instructions", r.instructions...);
+        v("energy.dynamic", r.energy.dynamic...);
+        v("energy.leakage", r.energy.leakage...);
+    }
 };
+
+static_assert(fieldCount<AdaptSegment>() == 7 &&
+                  fieldCount<circuit::EnergyBreakdown>() == 2,
+              "list the new AdaptSegment member in fields()");
 
 /** Per-run adaptation facts (stats reporting and tests). */
 struct AdaptInfo

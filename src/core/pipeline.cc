@@ -18,36 +18,12 @@ PipelineStats
 PipelineStats::minus(const PipelineStats &earlier) const
 {
     PipelineStats d = *this;
-    auto sub = [](uint64_t &a, uint64_t b) {
-        panicIf(a < b, "PipelineStats::minus: counter went backward");
-        a -= b;
-    };
-    sub(d.cycles, earlier.cycles);
-    sub(d.committedInsts, earlier.committedInsts);
-    sub(d.drainNops, earlier.drainNops);
-    sub(d.rawStallCycles, earlier.rawStallCycles);
-    sub(d.rfIrawStallCycles, earlier.rfIrawStallCycles);
-    sub(d.wawStallCycles, earlier.wawStallCycles);
-    sub(d.structuralStallCycles, earlier.structuralStallCycles);
-    sub(d.iqGateStallCycles, earlier.iqGateStallCycles);
-    sub(d.dl0ReplayStallCycles, earlier.dl0ReplayStallCycles);
-    sub(d.iqEmptyCycles, earlier.iqEmptyCycles);
-    sub(d.rfIrawDelayedInsts, earlier.rfIrawDelayedInsts);
-    sub(d.fetchLineAccesses, earlier.fetchLineAccesses);
-    sub(d.icacheStallCycles, earlier.icacheStallCycles);
-    sub(d.mispredicts, earlier.mispredicts);
-    sub(d.branches, earlier.branches);
-    sub(d.rsbMispredicts, earlier.rsbMispredicts);
-    sub(d.rsbDeterminismStalls, earlier.rsbDeterminismStalls);
-    sub(d.bpConflictReads, earlier.bpConflictReads);
-    sub(d.rsbConflictPops, earlier.rsbConflictPops);
-    sub(d.injectedCorruptions, earlier.injectedCorruptions);
-    sub(d.stableFullMatches, earlier.stableFullMatches);
-    sub(d.stableSetMatches, earlier.stableSetMatches);
-    sub(d.stableReplayedStores, earlier.stableReplayedStores);
-    sub(d.loads, earlier.loads);
-    sub(d.stores, earlier.stores);
-    sub(d.loadMisses, earlier.loadMisses);
+    fields(
+        [](const char *, uint64_t &a, uint64_t b) {
+            panicIf(a < b, "PipelineStats::minus: counter went backward");
+            a -= b;
+        },
+        d, earlier);
     return d;
 }
 

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "common/field_count.hh"
 #include "common/rng.hh"
 #include "core/core_config.hh"
 #include "core/exec_units.hh"
@@ -100,6 +101,44 @@ struct PipelineStats
     /** Counter-wise difference (for warmup-window exclusion). */
     PipelineStats minus(const PipelineStats &earlier) const;
 
+    /**
+     * The one list of the counters above: calls v("name", r.m...)
+     * once per member m, over one record (encode, decode) or two
+     * (subtract, compare).  The guard below the struct fails the
+     * build when a member is added but not listed.
+     */
+    template <class V, class... R>
+    static void
+    fields(V &&v, R &...r)
+    {
+        v("cycles", r.cycles...);
+        v("committedInsts", r.committedInsts...);
+        v("drainNops", r.drainNops...);
+        v("rawStallCycles", r.rawStallCycles...);
+        v("rfIrawStallCycles", r.rfIrawStallCycles...);
+        v("wawStallCycles", r.wawStallCycles...);
+        v("structuralStallCycles", r.structuralStallCycles...);
+        v("iqGateStallCycles", r.iqGateStallCycles...);
+        v("dl0ReplayStallCycles", r.dl0ReplayStallCycles...);
+        v("iqEmptyCycles", r.iqEmptyCycles...);
+        v("rfIrawDelayedInsts", r.rfIrawDelayedInsts...);
+        v("fetchLineAccesses", r.fetchLineAccesses...);
+        v("icacheStallCycles", r.icacheStallCycles...);
+        v("mispredicts", r.mispredicts...);
+        v("branches", r.branches...);
+        v("rsbMispredicts", r.rsbMispredicts...);
+        v("rsbDeterminismStalls", r.rsbDeterminismStalls...);
+        v("bpConflictReads", r.bpConflictReads...);
+        v("rsbConflictPops", r.rsbConflictPops...);
+        v("injectedCorruptions", r.injectedCorruptions...);
+        v("stableFullMatches", r.stableFullMatches...);
+        v("stableSetMatches", r.stableSetMatches...);
+        v("stableReplayedStores", r.stableReplayedStores...);
+        v("loads", r.loads...);
+        v("stores", r.stores...);
+        v("loadMisses", r.loadMisses...);
+    }
+
     /** All issue-stall cycles caused by IRAW mechanisms in the core
      *  (RF + IQ gate + STable replay); memory-side guard stalls are
      *  read from the hierarchy. */
@@ -110,6 +149,9 @@ struct PipelineStats
                dl0ReplayStallCycles;
     }
 };
+
+static_assert(fieldCount<PipelineStats>() == 26,
+              "list the new PipelineStats member in fields()");
 
 /** The pipeline model. */
 class Pipeline

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 
+#include "common/field_count.hh"
 #include "service/spool.hh"
 #include "sim/runner.hh"
 #include "variation/chip_sample.hh"
@@ -40,6 +41,17 @@ struct Hasher
         bytes(s.data(), s.size());
     }
 };
+
+// The structs configFingerprint hashes, by member count: a new
+// member must be hashed below (or named an observer here).  The
+// cache and TLB `name` labels are not hashed; SimConfig's profile
+// and tracer are observers and stay unhashed.
+static_assert(fieldCount<core::CoreConfig>() == 20, "hash it");
+static_assert(fieldCount<memory::MemoryConfig>() == 11, "hash it");
+static_assert(fieldCount<memory::CacheParams>() == 4, "hash it");
+static_assert(fieldCount<memory::TlbParams>() == 4, "hash it");
+static_assert(fieldCount<adapt::AdaptConfig>() == 17, "hash it");
+static_assert(fieldCount<sim::SimConfig>() == 14, "hash it");
 
 void
 hashCore(Hasher &h, const core::CoreConfig &c)
@@ -149,6 +161,7 @@ configFingerprint(const sim::SimConfig &cfg)
         h.u32(a.hysteresisEpochs);
         h.d(a.phaseIpcThreshold);
         h.d(a.phaseStallThreshold);
+        h.d(a.capSelectFraction);
         h.d(a.resolvedFloorVcc);
     }
     return h.state;

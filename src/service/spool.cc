@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -169,6 +170,7 @@ expect(const std::string &data, size_t &pos, const char *lit)
     return true;
 }
 
+/** Decimal u64; a value above 2^64-1 is rejected, not wrapped. */
 bool
 parseU64(const std::string &data, size_t &pos, uint64_t &value)
 {
@@ -176,10 +178,12 @@ parseU64(const std::string &data, size_t &pos, uint64_t &value)
     size_t digits = 0;
     while (pos < data.size() && data[pos] >= '0' &&
            data[pos] <= '9') {
-        value = value * 10 + static_cast<uint64_t>(data[pos] - '0');
-        ++pos;
-        if (++digits > 20)
+        const uint64_t digit = static_cast<uint64_t>(data[pos] - '0');
+        if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10)
             return false;
+        value = value * 10 + digit;
+        ++pos;
+        ++digits;
     }
     return digits > 0;
 }
@@ -200,18 +204,39 @@ parseQuoted(const std::string &data, size_t &pos, std::string &out)
 }
 
 /**
- * The SimResult codec transports a fixed-order vector of u64 values
- * (doubles as bit patterns, bools/enums widened); the field walk
- * below is the single place that defines the order, shared by the
- * writer and the reader.
+ * A result record's "f" array is SimResult::fields walked by the two
+ * typed visitors below, then host's two values.  Doubles travel as
+ * bit patterns, bools and the policy widened, and adapt.segments as
+ * a count followed by each segment's AdaptSegment::fields.
  */
 struct FieldWriter
 {
     std::vector<uint64_t> values;
-    void u(uint64_t v) { values.push_back(v); }
-    void d(double v) { values.push_back(doubleBits(v)); }
+
+    void operator()(const char *, uint64_t v) { values.push_back(v); }
+    void operator()(const char *, uint32_t v) { values.push_back(v); }
+    void operator()(const char *, bool v) { values.push_back(v); }
+    void
+    operator()(const char *, double v)
+    {
+        values.push_back(doubleBits(v));
+    }
+    void
+    operator()(const char *, adapt::Policy v)
+    {
+        values.push_back(static_cast<uint64_t>(v));
+    }
+    void
+    operator()(const char *,
+               const std::vector<adapt::AdaptSegment> &segments)
+    {
+        values.push_back(segments.size());
+        for (const adapt::AdaptSegment &seg : segments)
+            adapt::AdaptSegment::fields(*this, seg);
+    }
 };
 
+/** The writer's mirror: rejects a value its field cannot hold. */
 struct FieldReader
 {
     const std::vector<uint64_t> &values;
@@ -219,217 +244,40 @@ struct FieldReader
     bool ok = true;
 
     uint64_t
-    u()
+    next(uint64_t max = std::numeric_limits<uint64_t>::max())
     {
-        if (pos >= values.size()) {
+        if (pos >= values.size() || values[pos] > max) {
             ok = false;
             return 0;
         }
         return values[pos++];
     }
-    double d() { return bitsToDouble(u()); }
+
+    void operator()(const char *, uint64_t &v) { v = next(); }
+    void
+    operator()(const char *, uint32_t &v)
+    {
+        v = static_cast<uint32_t>(
+            next(std::numeric_limits<uint32_t>::max()));
+    }
+    void operator()(const char *, bool &v) { v = next(1) != 0; }
+    void operator()(const char *, double &v) { v = bitsToDouble(next()); }
+    void
+    operator()(const char *, adapt::Policy &v)
+    {
+        v = static_cast<adapt::Policy>(
+            next(static_cast<uint64_t>(adapt::Policy::ExploreGlobal)));
+    }
+    void
+    operator()(const char *, std::vector<adapt::AdaptSegment> &segments)
+    {
+        // Every segment takes values, so a count above the values
+        // left after it is corrupt; the cap also bounds the resize.
+        segments.resize(next(values.size() - pos - 1));
+        for (adapt::AdaptSegment &seg : segments)
+            adapt::AdaptSegment::fields(*this, seg);
+    }
 };
-
-/** Flatten every serialized SimResult field into @p fw. */
-void
-writeFields(FieldWriter &fw, const sim::SimResult &r)
-{
-    const mechanism::IrawSettings &s = r.settings;
-    fw.d(s.vcc);
-    fw.u(s.enabled ? 1 : 0);
-    fw.u(s.stabilizationCycles);
-    fw.d(s.cycleTime);
-    fw.d(s.baselineCycleTime);
-    fw.d(s.frequencyGain);
-
-    const core::PipelineStats &p = r.pipeline;
-    fw.u(p.cycles);
-    fw.u(p.committedInsts);
-    fw.u(p.drainNops);
-    fw.u(p.rawStallCycles);
-    fw.u(p.rfIrawStallCycles);
-    fw.u(p.wawStallCycles);
-    fw.u(p.structuralStallCycles);
-    fw.u(p.iqGateStallCycles);
-    fw.u(p.dl0ReplayStallCycles);
-    fw.u(p.iqEmptyCycles);
-    fw.u(p.rfIrawDelayedInsts);
-    fw.u(p.fetchLineAccesses);
-    fw.u(p.icacheStallCycles);
-    fw.u(p.mispredicts);
-    fw.u(p.branches);
-    fw.u(p.rsbMispredicts);
-    fw.u(p.rsbDeterminismStalls);
-    fw.u(p.bpConflictReads);
-    fw.u(p.rsbConflictPops);
-    fw.u(p.injectedCorruptions);
-    fw.u(p.stableFullMatches);
-    fw.u(p.stableSetMatches);
-    fw.u(p.stableReplayedStores);
-    fw.u(p.loads);
-    fw.u(p.stores);
-    fw.u(p.loadMisses);
-
-    fw.d(r.ipc);
-    fw.d(r.cycleTimeAu);
-    fw.d(r.execTimeAu);
-    fw.u(r.dramCycles);
-    fw.u(r.dl0GuardStalls);
-    fw.u(r.otherGuardStalls);
-    fw.d(r.il0MissRate);
-    fw.d(r.dl0MissRate);
-    fw.d(r.ul1MissRate);
-    fw.d(r.bpAccuracy);
-    fw.d(r.bpConflictRate);
-
-    fw.d(r.host.wallSeconds);
-    fw.u(r.host.instructions);
-
-    const sim::VariationInfo &v = r.variation;
-    fw.u(v.enabled ? 1 : 0);
-    fw.u(v.chipIndex);
-    fw.u(v.chipSeed);
-    fw.d(v.sigma);
-    fw.d(v.systematicSigma);
-    fw.d(v.maxMultiplier);
-    fw.u(v.worstN);
-    fw.u(v.nominalN);
-
-    const adapt::AdaptInfo &a = r.adapt;
-    fw.u(a.enabled ? 1 : 0);
-    fw.u(static_cast<uint64_t>(a.policy));
-    fw.u(a.epochCycles);
-    fw.u(a.epochs);
-    fw.u(a.switches);
-    fw.u(a.settleCycles);
-    fw.u(a.drainCycles);
-    fw.d(a.initialVcc);
-    fw.d(a.finalVcc);
-    fw.d(a.minVcc);
-    fw.d(a.floorVcc);
-    fw.u(a.totalCycles);
-    fw.u(a.totalInstructions);
-    fw.d(a.execTimeAu);
-    fw.d(a.timeWeightedVcc);
-    fw.d(a.switchEnergyAu);
-    fw.d(a.energy.dynamic);
-    fw.d(a.energy.leakage);
-}
-
-constexpr size_t kResultFields = 71;
-constexpr size_t kSegmentFields = 8;
-
-/** Mirror of writeFields. */
-void
-readFields(FieldReader &fr, sim::SimResult &r)
-{
-    mechanism::IrawSettings &s = r.settings;
-    s.vcc = fr.d();
-    s.enabled = fr.u() != 0;
-    s.stabilizationCycles = static_cast<uint32_t>(fr.u());
-    s.cycleTime = fr.d();
-    s.baselineCycleTime = fr.d();
-    s.frequencyGain = fr.d();
-
-    core::PipelineStats &p = r.pipeline;
-    p.cycles = fr.u();
-    p.committedInsts = fr.u();
-    p.drainNops = fr.u();
-    p.rawStallCycles = fr.u();
-    p.rfIrawStallCycles = fr.u();
-    p.wawStallCycles = fr.u();
-    p.structuralStallCycles = fr.u();
-    p.iqGateStallCycles = fr.u();
-    p.dl0ReplayStallCycles = fr.u();
-    p.iqEmptyCycles = fr.u();
-    p.rfIrawDelayedInsts = fr.u();
-    p.fetchLineAccesses = fr.u();
-    p.icacheStallCycles = fr.u();
-    p.mispredicts = fr.u();
-    p.branches = fr.u();
-    p.rsbMispredicts = fr.u();
-    p.rsbDeterminismStalls = fr.u();
-    p.bpConflictReads = fr.u();
-    p.rsbConflictPops = fr.u();
-    p.injectedCorruptions = fr.u();
-    p.stableFullMatches = fr.u();
-    p.stableSetMatches = fr.u();
-    p.stableReplayedStores = fr.u();
-    p.loads = fr.u();
-    p.stores = fr.u();
-    p.loadMisses = fr.u();
-
-    r.ipc = fr.d();
-    r.cycleTimeAu = fr.d();
-    r.execTimeAu = fr.d();
-    r.dramCycles = fr.u();
-    r.dl0GuardStalls = fr.u();
-    r.otherGuardStalls = fr.u();
-    r.il0MissRate = fr.d();
-    r.dl0MissRate = fr.d();
-    r.ul1MissRate = fr.d();
-    r.bpAccuracy = fr.d();
-    r.bpConflictRate = fr.d();
-
-    r.host.wallSeconds = fr.d();
-    r.host.instructions = fr.u();
-
-    sim::VariationInfo &v = r.variation;
-    v.enabled = fr.u() != 0;
-    v.chipIndex = static_cast<uint32_t>(fr.u());
-    v.chipSeed = fr.u();
-    v.sigma = fr.d();
-    v.systematicSigma = fr.d();
-    v.maxMultiplier = fr.d();
-    v.worstN = static_cast<uint32_t>(fr.u());
-    v.nominalN = static_cast<uint32_t>(fr.u());
-
-    adapt::AdaptInfo &a = r.adapt;
-    a.enabled = fr.u() != 0;
-    a.policy = static_cast<adapt::Policy>(fr.u());
-    a.epochCycles = fr.u();
-    a.epochs = fr.u();
-    a.switches = static_cast<uint32_t>(fr.u());
-    a.settleCycles = fr.u();
-    a.drainCycles = fr.u();
-    a.initialVcc = fr.d();
-    a.finalVcc = fr.d();
-    a.minVcc = fr.d();
-    a.floorVcc = fr.d();
-    a.totalCycles = fr.u();
-    a.totalInstructions = fr.u();
-    a.execTimeAu = fr.d();
-    a.timeWeightedVcc = fr.d();
-    a.switchEnergyAu = fr.d();
-    a.energy.dynamic = fr.d();
-    a.energy.leakage = fr.d();
-}
-
-void
-writeSegment(FieldWriter &fw, const adapt::AdaptSegment &seg)
-{
-    fw.d(seg.vcc);
-    fw.d(seg.cycleTimeAu);
-    fw.u(seg.irawOn ? 1 : 0);
-    fw.u(seg.cycles);
-    fw.u(seg.settleCycles);
-    fw.u(seg.instructions);
-    fw.d(seg.energy.dynamic);
-    fw.d(seg.energy.leakage);
-}
-
-void
-readSegment(FieldReader &fr, adapt::AdaptSegment &seg)
-{
-    seg.vcc = fr.d();
-    seg.cycleTimeAu = fr.d();
-    seg.irawOn = fr.u() != 0;
-    seg.cycles = fr.u();
-    seg.settleCycles = fr.u();
-    seg.instructions = fr.u();
-    seg.energy.dynamic = fr.d();
-    seg.energy.leakage = fr.d();
-}
 
 void
 appendU64Array(std::string &out, const std::vector<uint64_t> &values)
@@ -443,6 +291,7 @@ appendU64Array(std::string &out, const std::vector<uint64_t> &values)
     out += ']';
 }
 
+/** A non-empty "[v,v,...]" array: a result record always has one. */
 bool
 parseU64Array(const std::string &data, size_t &pos,
               std::vector<uint64_t> &values)
@@ -450,25 +299,13 @@ parseU64Array(const std::string &data, size_t &pos,
     values.clear();
     if (!expect(data, pos, "["))
         return false;
-    if (pos < data.size() && data[pos] == ']') {
-        ++pos;
-        return true;
-    }
-    for (;;) {
+    do {
         uint64_t v;
         if (!parseU64(data, pos, v))
             return false;
         values.push_back(v);
-        if (pos >= data.size())
-            return false;
-        if (data[pos] == ']') {
-            ++pos;
-            return true;
-        }
-        if (data[pos] != ',')
-            return false;
-        ++pos;
-    }
+    } while (expect(data, pos, ","));
+    return expect(data, pos, "]");
 }
 
 } // namespace
@@ -499,22 +336,16 @@ decodeShardHeader(const std::string &payload, std::string &shardStem,
 std::string
 encodeResult(uint64_t index, const sim::SimResult &r)
 {
-    FieldWriter fields;
-    writeFields(fields, r);
+    FieldWriter w;
+    sim::SimResult::fields(w, r);
+    w("host.wallSeconds", r.host.wallSeconds);
+    w("host.instructions", r.host.instructions);
 
-    std::string out = "{\"t\":\"res\",\"v\":1,";
+    std::string out = "{\"t\":\"res\",\"v\":2,";
     appendField(out, "i", index);
     out += ",\"f\":";
-    appendU64Array(out, fields.values);
-    out += ",\"seg\":[";
-    for (size_t i = 0; i < r.adapt.segments.size(); ++i) {
-        if (i)
-            out += ',';
-        FieldWriter seg;
-        writeSegment(seg, r.adapt.segments[i]);
-        appendU64Array(out, seg.values);
-    }
-    out += "]}";
+    appendU64Array(out, w.values);
+    out += '}';
     return out;
 }
 
@@ -523,56 +354,20 @@ decodeResult(const std::string &payload, uint64_t &index,
              sim::SimResult &r)
 {
     size_t pos = 0;
-    if (!expect(payload, pos, "{\"t\":\"res\",\"v\":1,\"i\":") ||
+    std::vector<uint64_t> values;
+    if (!expect(payload, pos, "{\"t\":\"res\",\"v\":2,\"i\":") ||
         !parseU64(payload, pos, index) ||
-        !expect(payload, pos, ",\"f\":"))
-        return false;
-
-    std::vector<uint64_t> fields;
-    if (!parseU64Array(payload, pos, fields) ||
-        fields.size() != kResultFields)
-        return false;
-
-    if (!expect(payload, pos, ",\"seg\":["))
-        return false;
-    std::vector<std::vector<uint64_t>> segments;
-    if (pos < payload.size() && payload[pos] == ']') {
-        ++pos;
-    } else {
-        for (;;) {
-            std::vector<uint64_t> seg;
-            if (!parseU64Array(payload, pos, seg) ||
-                seg.size() != kSegmentFields)
-                return false;
-            segments.push_back(std::move(seg));
-            if (pos >= payload.size())
-                return false;
-            if (payload[pos] == ']') {
-                ++pos;
-                break;
-            }
-            if (payload[pos] != ',')
-                return false;
-            ++pos;
-        }
-    }
-    if (!expect(payload, pos, "}") || pos != payload.size())
+        !expect(payload, pos, ",\"f\":") ||
+        !parseU64Array(payload, pos, values) ||
+        !expect(payload, pos, "}") || pos != payload.size())
         return false;
 
     r = sim::SimResult();
-    FieldReader fr{fields};
-    readFields(fr, r);
-    if (!fr.ok || fr.pos != fields.size())
-        return false;
-
-    r.adapt.segments.resize(segments.size());
-    for (size_t i = 0; i < segments.size(); ++i) {
-        FieldReader sr{segments[i]};
-        readSegment(sr, r.adapt.segments[i]);
-        if (!sr.ok || sr.pos != segments[i].size())
-            return false;
-    }
-    return true;
+    FieldReader reader{values};
+    sim::SimResult::fields(reader, r);
+    reader("host.wallSeconds", r.host.wallSeconds);
+    reader("host.instructions", r.host.instructions);
+    return reader.ok && reader.pos == values.size();
 }
 
 SpoolWriter::~SpoolWriter()

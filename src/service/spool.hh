@@ -75,18 +75,20 @@ bool decodeShardHeader(const std::string &payload,
                        std::string &shardStem, uint64_t &items);
 
 /**
- * Serialize one finished simulation as a spool payload.  @p index is
- * the config's position in the service call's config vector.  The
- * config itself is NOT transported (the supervisor re-attaches its
- * own, identical copy); every other field — including every double,
- * bit for bit — round-trips.
+ * Serialize one finished simulation as a spool payload: one u64
+ * array holding SimResult::fields, then the host wall-clock profile.
+ * @p index is the config's position in the service call's config
+ * vector.  The config itself is NOT transported (the supervisor
+ * re-attaches its own, identical copy); every other field —
+ * including every double, bit for bit — round-trips.
  */
 std::string encodeResult(uint64_t index, const sim::SimResult &r);
 
 /**
  * Parse a payload produced by encodeResult.  Returns false (leaving
- * the outputs unspecified) on any syntax, field or type mismatch;
- * the caller treats that as a bad record, not a fatal error.
+ * the outputs unspecified) on any syntax, field or type mismatch,
+ * or on a value its field cannot hold; the caller treats that as a
+ * bad record, not a fatal error.
  */
 bool decodeResult(const std::string &payload, uint64_t &index,
                   sim::SimResult &r);

@@ -98,7 +98,9 @@ constexpr int kExitSpoolError = 3;
 struct ShardScan
 {
     bool headerOk = false;
-    uint64_t items = 0; //!< decodable result records after the header
+    /** Records after the header that decode as the shard's items,
+     *  in order. */
+    uint64_t items = 0;
     uint64_t validBytes = 0;
     bool torn = false;
     bool exists = false;
@@ -123,16 +125,16 @@ scanShardSpool(const std::string &path, const Shard &shard)
         return out;
     out.headerOk = true;
 
-    // Count the decodable prefix; a bad record invalidates itself
-    // and everything after it (order is the checkpoint).
+    // Count the prefix of records that decode and carry the shard's
+    // items in order; a bad record invalidates itself and everything
+    // after it (order is the checkpoint).
     sim::SimResult r;
     uint64_t index = 0;
-    for (size_t i = 1; i < scan.payloads.size(); ++i) {
-        if (!decodeResult(scan.payloads[i], index, r))
-            break;
+    while (out.items < shard.indices.size() &&
+           out.items + 1 < scan.payloads.size() &&
+           decodeResult(scan.payloads[out.items + 1], index, r) &&
+           index == shard.indices[out.items])
         ++out.items;
-    }
-    out.items = std::min<uint64_t>(out.items, shard.indices.size());
     return out;
 }
 
@@ -541,7 +543,7 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
         for (size_t i = 1; valid && i < scan.payloads.size(); ++i) {
             sim::SimResult r;
             if (!decodeResult(scan.payloads[i], index, r) ||
-                index >= configs.size()) {
+                index != shard.indices[i - 1]) {
                 valid = false;
                 break;
             }

@@ -14,6 +14,7 @@
 
 #include "adapt/vcc_controller.hh"
 #include "circuit/cycle_time.hh"
+#include "common/field_count.hh"
 #include "core/core_config.hh"
 #include "core/pipeline.hh"
 #include "iraw/controller.hh"
@@ -192,7 +193,90 @@ struct SimResult
                          execTimeAu
                    : 0.0;
     }
+
+    /**
+     * The one list of a result's simulated values (see
+     * core::PipelineStats::fields); nested structs are named inline.
+     * Two members stay off it: config, which the service supervisor
+     * re-attaches, and host, which is wall-clock time.
+     */
+    template <class V, class... R>
+    static void
+    fields(V &&v, R &...r)
+    {
+        v("settings.vcc", r.settings.vcc...);
+        v("settings.enabled", r.settings.enabled...);
+        v("settings.stabilizationCycles",
+          r.settings.stabilizationCycles...);
+        v("settings.cycleTime", r.settings.cycleTime...);
+        v("settings.baselineCycleTime", r.settings.baselineCycleTime...);
+        v("settings.frequencyGain", r.settings.frequencyGain...);
+
+        core::PipelineStats::fields(
+            [&v](const char *name, auto &...m) {
+                v(("pipeline." + std::string(name)).c_str(), m...);
+            },
+            r.pipeline...);
+
+        v("ipc", r.ipc...);
+        v("cycleTimeAu", r.cycleTimeAu...);
+        v("execTimeAu", r.execTimeAu...);
+        v("dramCycles", r.dramCycles...);
+        v("dl0GuardStalls", r.dl0GuardStalls...);
+        v("otherGuardStalls", r.otherGuardStalls...);
+        v("il0MissRate", r.il0MissRate...);
+        v("dl0MissRate", r.dl0MissRate...);
+        v("ul1MissRate", r.ul1MissRate...);
+        v("bpAccuracy", r.bpAccuracy...);
+        v("bpConflictRate", r.bpConflictRate...);
+
+        v("variation.enabled", r.variation.enabled...);
+        v("variation.chipIndex", r.variation.chipIndex...);
+        v("variation.chipSeed", r.variation.chipSeed...);
+        v("variation.sigma", r.variation.sigma...);
+        v("variation.systematicSigma", r.variation.systematicSigma...);
+        v("variation.maxMultiplier", r.variation.maxMultiplier...);
+        v("variation.worstN", r.variation.worstN...);
+        v("variation.nominalN", r.variation.nominalN...);
+
+        v("adapt.enabled", r.adapt.enabled...);
+        v("adapt.policy", r.adapt.policy...);
+        v("adapt.epochCycles", r.adapt.epochCycles...);
+        v("adapt.epochs", r.adapt.epochs...);
+        v("adapt.switches", r.adapt.switches...);
+        v("adapt.settleCycles", r.adapt.settleCycles...);
+        v("adapt.drainCycles", r.adapt.drainCycles...);
+        v("adapt.initialVcc", r.adapt.initialVcc...);
+        v("adapt.finalVcc", r.adapt.finalVcc...);
+        v("adapt.minVcc", r.adapt.minVcc...);
+        v("adapt.floorVcc", r.adapt.floorVcc...);
+        v("adapt.totalCycles", r.adapt.totalCycles...);
+        v("adapt.totalInstructions", r.adapt.totalInstructions...);
+        v("adapt.execTimeAu", r.adapt.execTimeAu...);
+        v("adapt.timeWeightedVcc", r.adapt.timeWeightedVcc...);
+        v("adapt.switchEnergyAu", r.adapt.switchEnergyAu...);
+        v("adapt.energy.dynamic", r.adapt.energy.dynamic...);
+        v("adapt.energy.leakage", r.adapt.energy.leakage...);
+        v("adapt.cap.capPowerAu", r.adapt.cap.capPowerAu...);
+        v("adapt.cap.capViolationEpochs",
+          r.adapt.cap.capViolationEpochs...);
+        v("adapt.cap.capSteadyViolationEpochs",
+          r.adapt.cap.capSteadyViolationEpochs...);
+        v("adapt.cap.capCleanEnergyAu", r.adapt.cap.capCleanEnergyAu...);
+        v("adapt.cap.exploreEpochs", r.adapt.cap.exploreEpochs...);
+        v("adapt.cap.phaseRestarts", r.adapt.cap.phaseRestarts...);
+        v("adapt.segments", r.adapt.segments...);
+    }
 };
+
+// The structs SimResult::fields covers, by member count.
+static_assert(fieldCount<SimResult>() == 17 &&
+                  fieldCount<mechanism::IrawSettings>() == 6 &&
+                  fieldCount<VariationInfo>() == 8 &&
+                  fieldCount<adapt::AdaptInfo>() == 19 &&
+                  fieldCount<circuit::EnergyBreakdown>() == 2 &&
+                  fieldCount<adapt::CapStats>() == 6,
+              "list the new member in SimResult::fields()");
 
 /**
  * Direction-predictor accuracy over a window.  A branchless window

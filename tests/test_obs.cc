@@ -19,12 +19,12 @@
 #include <thread>
 #include <vector>
 
+#include "fields_equal.hh"
 #include "obs/event_tracer.hh"
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
 #include "obs/telemetry.hh"
 #include "service/fault_injector.hh"
-#include "service/spool.hh"
 #include "service/supervisor.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
@@ -252,13 +252,6 @@ TEST(ProgressMeter, ReportsDoneRetriesAndFinalLine)
 
 // -------------------------------------------- determinism invariant 9
 
-std::string
-canonical(sim::SimResult r)
-{
-    r.host = sim::HostProfile{};
-    return service::encodeResult(0, r);
-}
-
 std::vector<sim::SimConfig>
 smallConfigs()
 {
@@ -304,9 +297,10 @@ TEST(TelemetryInvariance, RunnerResultsIdenticalWithTelemetryOn)
         sim::SweepRunner(sim, tracedCfg).runConfigs(configs);
 
     ASSERT_EQ(traced.size(), plain.size());
-    for (size_t i = 0; i < traced.size(); ++i)
-        EXPECT_EQ(canonical(traced[i]), canonical(plain[i]))
-            << "result " << i;
+    for (size_t i = 0; i < traced.size(); ++i) {
+        SCOPED_TRACE("result " + std::to_string(i));
+        expectFieldsEqual(traced[i], plain[i]);
+    }
 
     // The run actually produced telemetry — the invariance above is
     // not vacuous.
@@ -345,9 +339,10 @@ TEST(TelemetryInvariance, CrashInjectedShardedRunMergesOneTrace)
         service::runSharded(sim, session, configs, 2);
 
     ASSERT_EQ(sharded.size(), inprocess.size());
-    for (size_t i = 0; i < sharded.size(); ++i)
-        EXPECT_EQ(canonical(sharded[i]), canonical(inprocess[i]))
-            << "result " << i;
+    for (size_t i = 0; i < sharded.size(); ++i) {
+        SCOPED_TRACE("result " + std::to_string(i));
+        expectFieldsEqual(sharded[i], inprocess[i]);
+    }
     EXPECT_EQ(session.stats().crashes, 4u);
 
     // One merged trace: crashed workers' event spools were stitched

@@ -14,6 +14,7 @@
 #include "circuit/voltage.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "fields_equal.hh"
 #include "obs/telemetry.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
@@ -81,24 +82,6 @@ smallSweep()
     cfg.voltages = {600, 500, 450};
     cfg.warmupInstructions = 4000;
     return cfg;
-}
-
-void
-expectMachinesIdentical(const MachineAtVcc &a, const MachineAtVcc &b)
-{
-    EXPECT_EQ(a.vcc, b.vcc);
-    EXPECT_EQ(a.irawEnabled, b.irawEnabled);
-    EXPECT_EQ(a.stabilizationCycles, b.stabilizationCycles);
-    EXPECT_EQ(a.cycleTimeAu, b.cycleTimeAu);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.execTimeAu, b.execTimeAu);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.rfIrawStalls, b.rfIrawStalls);
-    EXPECT_EQ(a.iqGateStalls, b.iqGateStalls);
-    EXPECT_EQ(a.dl0IrawStalls, b.dl0IrawStalls);
-    EXPECT_EQ(a.otherIrawStalls, b.otherIrawStalls);
-    EXPECT_EQ(a.rfIrawDelayedInsts, b.rfIrawDelayedInsts);
 }
 
 TEST(SweepRunner, AggregatesAreBitwiseIdenticalAcrossThreadCounts)
@@ -185,32 +168,6 @@ TEST(SweepRunner, BatchMatchesIndividualRuns)
     }
 }
 
-void
-expectResultsIdentical(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.pipeline.cycles, b.pipeline.cycles);
-    EXPECT_EQ(a.pipeline.committedInsts, b.pipeline.committedInsts);
-    EXPECT_EQ(a.pipeline.rfIrawStallCycles,
-              b.pipeline.rfIrawStallCycles);
-    EXPECT_EQ(a.pipeline.iqGateStallCycles,
-              b.pipeline.iqGateStallCycles);
-    EXPECT_EQ(a.pipeline.mispredicts, b.pipeline.mispredicts);
-    EXPECT_EQ(a.pipeline.drainNops, b.pipeline.drainNops);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.cycleTimeAu, b.cycleTimeAu);
-    EXPECT_EQ(a.execTimeAu, b.execTimeAu);
-    EXPECT_EQ(a.dramCycles, b.dramCycles);
-    EXPECT_EQ(a.dl0GuardStalls, b.dl0GuardStalls);
-    EXPECT_EQ(a.otherGuardStalls, b.otherGuardStalls);
-    EXPECT_EQ(a.il0MissRate, b.il0MissRate);
-    EXPECT_EQ(a.dl0MissRate, b.dl0MissRate);
-    EXPECT_EQ(a.ul1MissRate, b.ul1MissRate);
-    EXPECT_EQ(a.bpAccuracy, b.bpAccuracy);
-    EXPECT_EQ(a.settings.stabilizationCycles,
-              b.settings.stabilizationCycles);
-    EXPECT_EQ(a.settings.enabled, b.settings.enabled);
-}
-
 TEST(SweepRunner, ChunkSizeInvariantIncludingNonDividing)
 {
     // 5 configs on one trace: chunk size 8 (one undersized chunk),
@@ -236,7 +193,7 @@ TEST(SweepRunner, ChunkSizeInvariantIncludingNonDividing)
                            .runConfigs(cfgs);
             ASSERT_EQ(got.size(), reference.size());
             for (size_t i = 0; i < reference.size(); ++i)
-                expectResultsIdentical(reference[i], got[i]);
+                expectFieldsEqual(reference[i], got[i]);
         }
     }
 }

@@ -24,6 +24,7 @@
 
 #include "adapt/vcc_controller.hh"
 #include "common/logging.hh"
+#include "fields_equal.hh"
 #include "service/fault_injector.hh"
 #include "service/shard_manifest.hh"
 #include "service/spool.hh"
@@ -39,28 +40,17 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/**
- * The full transported field set of @p r as one string: encodeResult
- * covers every deterministic field (all doubles bit-for-bit), so two
- * results with equal canonical forms are bitwise identical up to
- * host wall-clock telemetry, which is zeroed out here because it is
- * legitimately different across processes.
- */
-std::string
-canonical(sim::SimResult r)
-{
-    r.host = sim::HostProfile{};
-    return encodeResult(0, r);
-}
-
+/** Every listed field of every result, doubles bit for bit; host
+ *  wall-clock time is off the list. */
 void
 expectResultsIdentical(const std::vector<sim::SimResult> &got,
                        const std::vector<sim::SimResult> &want)
 {
     ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(canonical(got[i]), canonical(want[i]))
-            << "result " << i;
+    for (size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("result " + std::to_string(i));
+        expectFieldsEqual(got[i], want[i]);
+    }
 }
 
 /** 8 configs over 4 trace groups (2 workloads x 2 seeds, 2 voltages
@@ -97,8 +87,8 @@ inProcess(const sim::Simulator &sim,
 
 TEST(SpoolCodec, ResultRoundTripsBitwise)
 {
-    // An adaptive run exercises the deepest payload: per-epoch
-    // segments ride along with the 71 scalar fields.
+    // An adaptive run exercises the deepest payload: its segments
+    // ride in the same value array as the scalar fields.
     sim::Simulator sim;
     sim::SimConfig cfg;
     cfg.workload = "spec2006int";
@@ -121,8 +111,7 @@ TEST(SpoolCodec, ResultRoundTripsBitwise)
     EXPECT_EQ(index, 42u);
     back.config = cfg; // not transported; the supervisor re-attaches
     EXPECT_EQ(encodeResult(42, back), payload);
-    EXPECT_EQ(back.adapt.segments.size(), r.adapt.segments.size());
-    EXPECT_EQ(back.ipc, r.ipc); // bit-exact, not approximate
+    expectFieldsEqual(back, r);
     EXPECT_EQ(back.host.wallSeconds, r.host.wallSeconds);
 
     // Damaged payloads decode as false, never as wrong data.
@@ -131,6 +120,109 @@ TEST(SpoolCodec, ResultRoundTripsBitwise)
     EXPECT_FALSE(decodeResult("not json", index, back));
     EXPECT_FALSE(decodeResult(encodeShardHeader("shard-0-0-abc", 2),
                               index, back));
+}
+
+TEST(SpoolCodec, CappedExploreResultRoundTrips)
+{
+    // A cap no point can meet: every epoch violates it, so every
+    // adapt.cap counter is nonzero and must survive the codec.
+    sim::Simulator sim;
+    sim::SimConfig cfg;
+    cfg.workload = "spec2006int";
+    cfg.instructions = 12000;
+    cfg.warmupInstructions = 2000;
+    cfg.vcc = 550.0;
+    auto acfg = std::make_shared<adapt::AdaptConfig>();
+    acfg->policy = adapt::Policy::Explore;
+    acfg->epochCycles = 1500;
+    acfg->floorVcc = 450.0;
+    acfg->capPowerAu = 1e-9;
+    cfg.adapt = acfg;
+    sim::SimResult r = sim.run(cfg);
+    ASSERT_GT(r.adapt.epochs, 0u);
+    ASSERT_EQ(r.adapt.cap.capViolationEpochs, r.adapt.epochs);
+    ASSERT_GT(r.adapt.cap.exploreEpochs, 0u);
+
+    uint64_t index = 0;
+    sim::SimResult back;
+    ASSERT_TRUE(decodeResult(encodeResult(3, r), index, back));
+    EXPECT_EQ(index, 3u);
+    expectFieldsEqual(back, r);
+}
+
+/** Position of field @p name in a fixed-Vcc result's value array,
+ *  where every listed field is one value. */
+size_t
+valuePosition(const std::string &name)
+{
+    size_t pos = 0;
+    size_t found = std::string::npos;
+    sim::SimResult r;
+    sim::SimResult::fields(
+        [&](const char *field, const auto &) {
+            if (name == field)
+                found = pos;
+            ++pos;
+        },
+        r);
+    return found;
+}
+
+/** @p payload with value @p pos of its "f" array replaced. */
+std::string
+withValue(const std::string &payload, size_t pos,
+          const std::string &value)
+{
+    size_t begin = payload.find("\"f\":[") + 5;
+    for (size_t i = 0; i < pos; ++i)
+        begin = payload.find(',', begin) + 1;
+    const size_t end = payload.find_first_of(",]", begin);
+    return payload.substr(0, begin) + value + payload.substr(end);
+}
+
+TEST(SpoolCodec, RejectsValuesOutOfTheirFieldsRange)
+{
+    sim::Simulator sim;
+    const std::string payload =
+        encodeResult(0, sim.run(smallConfigs()[0]));
+    uint64_t index = 0;
+    sim::SimResult back;
+
+    // The control: an in-range edit decodes to what it says.
+    const size_t cycles = valuePosition("pipeline.cycles");
+    ASSERT_NE(cycles, std::string::npos);
+    ASSERT_TRUE(
+        decodeResult(withValue(payload, cycles, "5"), index, back));
+    EXPECT_EQ(back.pipeline.cycles, 5u);
+
+    // 2^64 + 5 must not wrap to 5, nor a field keep a value its type
+    // cannot hold.
+    EXPECT_FALSE(decodeResult(
+        withValue(payload, cycles, "18446744073709551621"), index,
+        back));
+    EXPECT_FALSE(decodeResult(
+        withValue(payload, valuePosition("settings.stabilizationCycles"),
+                  "4294967296"),
+        index, back));
+    EXPECT_FALSE(decodeResult(
+        withValue(payload, valuePosition("settings.enabled"), "2"),
+        index, back));
+    EXPECT_FALSE(decodeResult(
+        withValue(payload, valuePosition("adapt.policy"), "5"), index,
+        back));
+
+    // The record index and the header's item count parse the same
+    // way.
+    std::string stem;
+    uint64_t items = 0;
+    EXPECT_FALSE(decodeShardHeader(
+        "{\"t\":\"hdr\",\"v\":1,\"shard\":\"s\","
+        "\"items\":18446744073709551616}",
+        stem, items));
+    std::string bigIndex = payload;
+    bigIndex.replace(bigIndex.find("\"i\":0") + 4, 1,
+                     "18446744073709551616");
+    EXPECT_FALSE(decodeResult(bigIndex, index, back));
 }
 
 TEST(SpoolCodec, ShardHeaderRoundTrips)
@@ -256,6 +348,17 @@ TEST(ShardManifest, DeterministicAndConfigSensitive)
     // ... and so does the call ordinal.
     std::vector<Shard> d = buildManifest(configs, 2, 1).shards;
     EXPECT_NE(d[0].stem, a[0].stem);
+
+    // capSelectFraction decides which explore candidates are
+    // feasible, so it renames the shard like every adapt field.
+    std::vector<sim::SimConfig> adapted = configs;
+    adapted[0].adapt = std::make_shared<adapt::AdaptConfig>();
+    std::vector<sim::SimConfig> headroom = configs;
+    auto acfg = std::make_shared<adapt::AdaptConfig>();
+    acfg->capSelectFraction = 0.5;
+    headroom[0].adapt = acfg;
+    EXPECT_NE(buildManifest(headroom, 2, 0).shards[0].stem,
+              buildManifest(adapted, 2, 0).shards[0].stem);
 
     // profile= is a host-only observer (invariant 6): toggling it
     // must keep every stem, so resume= still finds the spools.
@@ -478,6 +581,43 @@ TEST_F(ServiceRunTest, CorruptCompletedSpoolRejectedOnResume)
     EXPECT_EQ(stats.shardsReused, 3u);
     EXPECT_EQ(stats.shardsCompleted, 1u);
     EXPECT_GE(stats.badRecords, 1u);
+    EXPECT_EQ(stats.shardsFailed, 0u);
+}
+
+TEST_F(ServiceRunTest, ResumeRejectsARecordOfTheWrongItem)
+{
+    sim::Simulator sim;
+    std::vector<sim::SimConfig> configs = smallConfigs();
+    std::vector<Shard> manifest = buildManifest(configs, 2, 0).shards;
+
+    {
+        ServiceSession session(baseConfig());
+        runSharded(sim, session, configs, 2);
+    }
+
+    // Rewrite one completed spool as its header plus its first
+    // item's record twice: every frame and CRC is valid, but the
+    // second record names the wrong item.
+    const std::string victim = donePath(_dir, manifest[2]);
+    SpoolScan scan = scanSpoolFile(victim);
+    ASSERT_EQ(scan.payloads.size(), 3u);
+    {
+        std::ofstream out(victim, std::ios::binary | std::ios::trunc);
+        out << frameRecord(scan.payloads[0])
+            << frameRecord(scan.payloads[1])
+            << frameRecord(scan.payloads[1]);
+    }
+
+    ServiceConfig cfg = baseConfig();
+    cfg.resume = true;
+    ServiceSession session(cfg);
+    std::vector<sim::SimResult> resumed =
+        runSharded(sim, session, configs, 2);
+    expectResultsIdentical(resumed, inProcess(sim, configs));
+
+    ServiceStats stats = session.stats();
+    EXPECT_EQ(stats.shardsReused, 3u);
+    EXPECT_EQ(stats.badRecords, 1u);
     EXPECT_EQ(stats.shardsFailed, 0u);
 }
 

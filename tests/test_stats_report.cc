@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "service/spool.hh"
+#include "fields_equal.hh"
 #include "sim/stats_report.hh"
 #include "variation/chip_sample.hh"
 #include "variation/variation_model.hh"
@@ -81,15 +81,6 @@ TEST(StatsReport, BaselineRunReportsZeroIrawActivity)
     EXPECT_EQ(r.pipeline.rfIrawStallCycles, 0u);
 }
 
-/** Every simulated field of @p r (doubles bit for bit): the spool
- *  codec's encoding with the host wall-clock profile zeroed. */
-std::string
-canonical(SimResult r)
-{
-    r.host = HostProfile{};
-    return service::encodeResult(0, r);
-}
-
 std::vector<std::string>
 reportLines(const SimResult &r)
 {
@@ -109,7 +100,7 @@ TEST(StatsReport, ProfileAddsOnlyTheHostPerfLines)
 {
     SimResult plain = runSmall();
     SimResult profiled = runSmall(true);
-    EXPECT_EQ(canonical(profiled), canonical(plain));
+    expectFieldsEqual(profiled, plain);
 
     std::vector<std::string> want = reportLines(plain);
     std::vector<std::string> got = reportLines(profiled);

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "fields_equal.hh"
 #include "sim/runner.hh"
 #include "trace/generator.hh"
 #include "trace/trace_io.hh"
@@ -251,24 +252,6 @@ smallPoints()
             {550.0, mechanism::IrawMode::Auto}};
 }
 
-void
-expectMachinesBitwiseEqual(const std::vector<MachineAtVcc> &a,
-                           const std::vector<MachineAtVcc> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].instructions, b[i].instructions);
-        EXPECT_EQ(a[i].cycles, b[i].cycles);
-        EXPECT_EQ(a[i].ipc, b[i].ipc);
-        EXPECT_EQ(a[i].execTimeAu, b[i].execTimeAu);
-        EXPECT_EQ(a[i].rfIrawStalls, b[i].rfIrawStalls);
-        EXPECT_EQ(a[i].iqGateStalls, b[i].iqGateStalls);
-        EXPECT_EQ(a[i].dl0IrawStalls, b[i].dl0IrawStalls);
-        EXPECT_EQ(a[i].otherIrawStalls, b[i].otherIrawStalls);
-        EXPECT_EQ(a[i].rfIrawDelayedInsts, b[i].rfIrawDelayedInsts);
-    }
-}
-
 TEST(TraceStoreSweep, SweepMaterializesEachTraceOnce)
 {
     Simulator sim;
@@ -288,7 +271,9 @@ TEST(TraceStoreSweep, CrossThreadAggregatesBitwiseIdentical)
                       .runMachines(smallSweep(), smallPoints());
     auto parallel = SweepRunner(sim, RunnerConfig{8})
                         .runMachines(smallSweep(), smallPoints());
-    expectMachinesBitwiseEqual(serial, parallel);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (size_t i = 0; i < serial.size(); ++i)
+        expectMachinesIdentical(serial[i], parallel[i]);
 }
 
 TEST(TraceStoreSweep, FileTraceSuiteEntryReplays)
