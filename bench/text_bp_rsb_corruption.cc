@@ -119,9 +119,8 @@ runBpRsb(iraw::sim::ScenarioContext &ctx)
     TextTable rsb("RSB safety: shortest call->return distance");
     rsb.setHeader({"workload", "min gap (insts)"});
     for (const std::string &w : rsbWorkloads) {
-        trace::ReplayTraceSource src(bpRsbTrace(ctx, w));
-        auto stats =
-            trace::TraceAnalyzer::analyze(src, kBpRsbTraceOps);
+        auto stats = trace::TraceAnalyzer::analyze(
+            *bpRsbTrace(ctx, w), kBpRsbTraceOps);
         rsb.addRow({w, std::to_string(stats.minCallReturnGap)});
     }
     rsb.addNote("paper: no function executes call->return within "

@@ -14,6 +14,7 @@
 
 #include <ostream>
 
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "sim/scenario.hh"
 #include "trace/analyzer.hh"
@@ -30,6 +31,8 @@ runWorkloadStudio(iraw::sim::ScenarioContext &ctx)
 
     std::string which = ctx.opts().getString("workload", "all");
     uint64_t insts = ctx.opts().getUint("insts", 50000);
+    fatalIf(insts == 0, "insts=0: workload_studio needs at least one "
+                        "micro-op");
     std::string dump = ctx.opts().getString("dump", "");
 
     std::vector<std::string> names;
@@ -48,8 +51,8 @@ runWorkloadStudio(iraw::sim::ScenarioContext &ctx)
         // Materialize through the scenario's store: a later dump= of
         // the same workload reuses the buffer instead of
         // regenerating.
-        ReplayTraceSource src(ctx.materializeTrace(name, 1, insts));
-        TraceStats s = TraceAnalyzer::analyze(src, insts);
+        TraceStats s = TraceAnalyzer::analyze(
+            *ctx.materializeTrace(name, 1, insts), insts);
         table.addRow({
             name,
             TextTable::pct(s.classFraction(isa::OpClass::Load), 1),
@@ -70,26 +73,19 @@ runWorkloadStudio(iraw::sim::ScenarioContext &ctx)
     if (!dump.empty()) {
         // A store hit: the characterization loop above already
         // materialized this (workload, seed, insts) buffer.
-        ReplayTraceSource src(
-            ctx.materializeTrace(names.front(), 1, insts));
-        uint64_t written = dumpTrace(src, dump, insts);
-        TraceReader reader(dump);
+        uint64_t written = dumpTrace(
+            *ctx.materializeTrace(names.front(), 1, insts), dump, insts);
         ctx.out() << "wrote " << written << " records to " << dump
                   << "; first record: "
-                  << reader.next()->toString() << "\n";
+                  << materializeFile(dump)->at(0).toString() << "\n";
     }
 
     // Show a small disassembly excerpt.
-    ReplayTraceSource head(
-        ctx.materializeTrace(names.front(), 1, insts));
+    TraceBufferPtr head = ctx.materializeTrace(names.front(), 1, insts);
     ctx.out() << "\nfirst 10 micro-ops of " << names.front()
               << ":\n";
-    for (int i = 0; i < 10; ++i) {
-        auto op = head.next();
-        if (!op)
-            break;
-        ctx.out() << "  " << op->toString() << "\n";
-    }
+    for (uint64_t i = 0; i < 10 && i < head->records(); ++i)
+        ctx.out() << "  " << head->at(i).toString() << "\n";
     return 0;
 }
 

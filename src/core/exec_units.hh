@@ -92,14 +92,6 @@ class ExecUnits
         }
     }
 
-    void
-    reset()
-    {
-        newCycle();
-        _intDivFreeAt = 0;
-        _fpDivFreeAt = 0;
-    }
-
     /** First cycle the unpipelined integer divider is free again. */
     memory::Cycle intDivFreeAt() const { return _intDivFreeAt; }
     /** First cycle the unpipelined FP divider is free again. */

@@ -1,7 +1,5 @@
 #include "core/instruction_queue.hh"
 
-#include <utility>
-
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 
@@ -13,17 +11,6 @@ InstructionQueue::InstructionQueue(uint32_t size) : _size(size)
     fatalIf(!isPowerOf2(size),
             "InstructionQueue: size must be a power of two");
     _entries.assign(size, IqEntry{});
-}
-
-void
-InstructionQueue::allocate(IqEntry entry)
-{
-    panicIf(full(), "InstructionQueue: allocate() on a full queue");
-    if (isReal(entry))
-        ++_realCount;
-    _entries[_tail & (_size - 1)] = std::move(entry);
-    _tail = (_tail + 1) & (2 * _size - 1);
-    ++_allocations;
 }
 
 void

@@ -23,7 +23,10 @@ namespace core {
 /** One IQ entry: a decoded micro-op plus pipeline bookkeeping. */
 struct IqEntry
 {
-    isa::MicroOp op;
+    /** Points into the resident trace buffer, which outlives the
+     *  run, or at the pipeline's one NOP for drain and wrong-path
+     *  entries. */
+    const isa::MicroOp *op = nullptr;
     memory::Cycle allocCycle = 0;
     bool predictedTaken = false;
     bool mispredicted = false;
@@ -55,25 +58,22 @@ class InstructionQueue
      * Entries that are neither drain NOOPs nor wrong-path filler,
      * maintained incrementally so the drain logic's "anything real
      * left?" checks are O(1) instead of an O(occupancy) scan per
-     * cycle.  Relies on the flags being immutable after allocate().
+     * cycle.  Relies on the flags being immutable after
+     * allocateBack().
      */
     uint32_t realEntries() const { return _realCount; }
 
-    /** Allocate at the tail; the queue must not be full. */
-    void allocate(IqEntry entry);
-
     /**
-     * Allocate at the tail in place: resets the slot, applies the
-     * drain / wrong-path flags (they feed the realEntries() counter
-     * and must not change afterwards) and returns the slot for the
-     * caller to fill.  Saves the temporary-plus-copy that
-     * allocate() costs on the fetch fast path.
+     * Allocate at the tail in place; the queue must not be full.
+     * Resets the slot, applies the drain / wrong-path flags (they
+     * feed the realEntries() counter and must not change afterwards)
+     * and returns the slot for the caller to fill.
      */
     IqEntry &
     allocateBack(bool isDrainNop = false, bool isWrongPath = false)
     {
         panicIf(full(),
-                "InstructionQueue: allocate() on a full queue");
+                "InstructionQueue: allocateBack() on a full queue");
         if (!isDrainNop && !isWrongPath)
             ++_realCount;
         IqEntry &slot = _entries[_tail & (_size - 1)];

@@ -14,6 +14,13 @@ using isa::MicroOp;
 using isa::OpClass;
 using memory::Cycle;
 
+namespace {
+
+/** What every drain and wrong-path IQ entry points at. */
+const MicroOp kNop = isa::makeNop(0, 0);
+
+} // namespace
+
 PipelineStats
 PipelineStats::minus(const PipelineStats &earlier) const
 {
@@ -97,34 +104,6 @@ Pipeline::applyStabilizationMaps(
     _mem.setStabilizationMaps(std::move(maps));
 }
 
-void
-Pipeline::reset()
-{
-    _scoreboard.reset();
-    _iq.clear();
-    _units.reset();
-    _stable.flush();
-    _stable.resetStats();
-    // Predictor tables retrain from scratch (fresh silicon state);
-    // reset() reinitializes in place instead of re-allocating.
-    _bp.reset();
-    _rsb.flush();
-    _rng.reseed(_cfg.corruptionSeed);
-    _bpCorruption.reset();
-    _stats = PipelineStats{};
-    _cycle = 0;
-    _writeDoneAt.fill(0);
-    _lastWriteDone = 0;
-    _peek = nullptr;
-    _traceDone = false;
-    _fetchHalted = false;
-    _fetchBlockedUntil = 0;
-    _currentFetchLine = ~0ULL;
-    _nopsInjected = 0;
-    _nopSeq = 0;
-    _dl0ReplayBlockedUntil = 0;
-}
-
 bool
 Pipeline::sourcesReady(const MicroOp &op, BlockReason &reason) const
 {
@@ -162,7 +141,7 @@ Pipeline::setDestination(isa::RegId dst, uint32_t latency)
 void
 Pipeline::issueMemOp(IqEntry &entry)
 {
-    const MicroOp &op = entry.op;
+    const MicroOp &op = *entry.op;
     if (op.isLoad()) {
         ++_stats.loads;
 
@@ -205,9 +184,7 @@ Pipeline::issueMemOp(IqEntry &entry)
 void
 Pipeline::executeControlOp(const IqEntry &entry)
 {
-    const MicroOp &op = entry.op;
     Cycle execCycle = _cycle + 1;
-    (void)op;
 
     if (entry.mispredicted) {
         ++_stats.mispredicts;
@@ -229,7 +206,7 @@ Pipeline::BlockReason
 Pipeline::tryIssue(IqEntry &entry, bool &issued)
 {
     issued = false;
-    const MicroOp &op = entry.op;
+    const MicroOp &op = *entry.op;
 
     // Entries cannot issue in their allocation cycle.
     if (entry.allocCycle >= _cycle)
@@ -352,7 +329,7 @@ Pipeline::fetchStage()
             IqEntry &wp =
                 _iq.allocateBack(/*isDrainNop=*/false,
                                  /*isWrongPath=*/true);
-            wp.op = isa::makeNop(0, 0);
+            wp.op = &kNop;
             wp.allocCycle = _cycle;
         }
         return;
@@ -365,8 +342,7 @@ Pipeline::fetchStage()
             break;
 
         // Pull the next micro-op: a pointer into the shared decoded
-        // buffer, stable for the run, so nothing is copied until the
-        // op enters the IQ.
+        // buffer, stable for the run, which the IQ entry keeps.
         const MicroOp *op = nullptr;
         if (!_traceDone && !_fetchFrozen) {
             if (!_peek) {
@@ -391,9 +367,8 @@ Pipeline::fetchStage()
                 IqEntry &nop =
                     _iq.allocateBack(/*isDrainNop=*/true,
                                      /*isWrongPath=*/false);
-                nop.op = isa::makeNop(++_nopSeq, 0);
+                nop.op = &kNop;
                 nop.allocCycle = _cycle;
-                ++_nopsInjected;
                 continue;
             }
             break;
@@ -414,7 +389,7 @@ Pipeline::fetchStage()
         }
 
         IqEntry &entry = _iq.allocateBack();
-        entry.op = *op;
+        entry.op = op;
         entry.allocCycle = _cycle;
 
         // Branch prediction.

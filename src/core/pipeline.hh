@@ -161,8 +161,10 @@ class Pipeline
      * @param cfg core configuration (validated)
      * @param hierarchy memory system (owned by the caller)
      * @param source cursor over the resident trace (owned by the
-     *        caller); size it with trace::replayLength() so the
-     *        run never reaches end-of-trace before its budget
+     *        caller, and alive as long as the pipeline: IQ entries
+     *        point into its buffer); size it with
+     *        trace::replayLength() so the run never reaches
+     *        end-of-trace before its budget
      */
     Pipeline(const CoreConfig &cfg,
              memory::MemoryHierarchy &hierarchy,
@@ -172,8 +174,8 @@ class Pipeline
      * Apply an operating point (Sec. 4.1.3 reconfiguration): sets N
      * on the scoreboard, IQ gate, STable, hierarchy guards and the
      * prediction-block trackers.  Requires no register write in
-     * flight (a fresh, reset or drained pipeline): a long-latency
-     * write's completion pattern was fixed at issue with the old N.
+     * flight (a fresh or drained pipeline): a long-latency write's
+     * completion pattern was fixed at issue with the old N.
      */
     void applySettings(const mechanism::IrawSettings &settings);
 
@@ -259,9 +261,6 @@ class Pipeline
     void setIssueThrottle(uint32_t width);
     uint32_t issueThrottle() const { return _issueThrottle; }
 
-    /** Reset all machine state (keeps configuration). */
-    void reset();
-
   private:
     /** Reason the head of the IQ could not issue this cycle. */
     enum class BlockReason
@@ -332,8 +331,6 @@ class Pipeline
     /** log2 of the IL0 line size (cached off the hierarchy config:
      *  the fetch loop derives one line index per micro-op). */
     unsigned _il0LineShift = 0;
-    uint64_t _nopsInjected = 0;
-    uint64_t _nopSeq = 0;
 
     // DL0 STable replay window.
     memory::Cycle _dl0ReplayBlockedUntil = 0;

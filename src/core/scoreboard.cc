@@ -21,7 +21,10 @@ Scoreboard::Scoreboard(uint32_t bits, uint32_t bypassLevels)
             bypassLevels, bits);
     _ones = buildBaselinePattern(_bits, 0);
     rebuildPatternLut();
-    reset();
+    // Every register starts quiescent (all ones).
+    _regs.assign(isa::kNumLogicalRegs, _ones);
+    _shadow.assign(isa::kNumLogicalRegs, _ones);
+    _setCycle.assign(isa::kNumLogicalRegs, 0);
 }
 
 void
@@ -47,15 +50,6 @@ Scoreboard::setStabilizationMap(const std::vector<uint32_t> &perRegN,
     _n = worst;
     _lineN = perRegN;
     rebuildPatternLut();
-}
-
-void
-Scoreboard::reset()
-{
-    _regs.assign(isa::kNumLogicalRegs, _ones);
-    _shadow.assign(isa::kNumLogicalRegs, _ones);
-    _setCycle.assign(isa::kNumLogicalRegs, 0);
-    _now = 0;
 }
 
 ReadyPattern

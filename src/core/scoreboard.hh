@@ -124,9 +124,6 @@ class Scoreboard
         return _bits - 1 - _bypassLevels - _n;
     }
 
-    /** Reset all registers to quiescent (all ones). */
-    void reset();
-
     uint32_t bits() const { return _bits; }
     uint32_t bypassLevels() const { return _bypassLevels; }
 

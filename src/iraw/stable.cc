@@ -112,14 +112,5 @@ StoreTable::flush()
     _next = 0;
 }
 
-void
-StoreTable::resetStats()
-{
-    _probes = 0;
-    _fullMatches = 0;
-    _setMatches = 0;
-    _stores = 0;
-}
-
 } // namespace mechanism
 } // namespace iraw

@@ -98,8 +98,6 @@ class StoreTable
         return static_cast<uint64_t>(_capacity) * (1 + 48 + 64 + 3);
     }
 
-    void resetStats();
-
   private:
     struct Entry
     {

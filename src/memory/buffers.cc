@@ -115,14 +115,6 @@ FillBuffer::occupancy() const
     return n;
 }
 
-void
-FillBuffer::reset()
-{
-    _slots.assign(_capacity, Entry{});
-    _allocations = 0;
-    _merged = 0;
-}
-
 WriteCombiningBuffer::WriteCombiningBuffer(std::string name,
                                            uint32_t entries,
                                            uint32_t drainLatency)
@@ -213,14 +205,6 @@ WriteCombiningBuffer::occupancy() const
         if (slot.valid)
             ++n;
     return n;
-}
-
-void
-WriteCombiningBuffer::reset()
-{
-    _slots.assign(_capacity, Entry{});
-    _pushes = 0;
-    _fullStalls = 0;
 }
 
 } // namespace memory

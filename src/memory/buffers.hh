@@ -63,7 +63,6 @@ class FillBuffer
     uint64_t mergedRequests() const { return _merged; }
     void noteMerge() { ++_merged; }
     const std::string &name() const { return _name; }
-    void reset();
 
     /** Storage bits for area accounting. */
     uint64_t
@@ -116,7 +115,6 @@ class WriteCombiningBuffer
     uint64_t pushes() const { return _pushes; }
     uint64_t fullStalls() const { return _fullStalls; }
     const std::string &name() const { return _name; }
-    void reset();
 
     uint64_t
     totalBits() const

@@ -130,28 +130,5 @@ Cache::fill(uint64_t addr, bool dirty)
     return evicted;
 }
 
-void
-Cache::invalidate(uint64_t addr)
-{
-    if (Line *line = findLine(addr))
-        line->valid = false;
-}
-
-void
-Cache::flush()
-{
-    for (auto &line : _lines)
-        line = Line{};
-}
-
-void
-Cache::resetStats()
-{
-    _accesses = 0;
-    _hits = 0;
-    _fills = 0;
-    _dirtyEvictions = 0;
-}
-
 } // namespace memory
 } // namespace iraw

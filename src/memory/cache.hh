@@ -72,12 +72,6 @@ class Cache
      */
     Victim fill(uint64_t addr, bool dirty = false);
 
-    /** Drop the line containing @p addr if present. */
-    void invalidate(uint64_t addr);
-
-    /** Remove all lines. */
-    void flush();
-
     uint64_t lineAddr(uint64_t addr) const
     {
         return addr & ~static_cast<uint64_t>(_params.lineBytes - 1);
@@ -108,7 +102,6 @@ class Cache
                    ? static_cast<double>(misses()) / _accesses
                    : 0.0;
     }
-    void resetStats();
 
   private:
     struct Line

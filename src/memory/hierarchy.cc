@@ -338,29 +338,5 @@ MemoryHierarchy::totalSramBits() const
            _cfg.dtlb.totalBits() + _fb.totalBits() + _wcb.totalBits();
 }
 
-void
-MemoryHierarchy::reset()
-{
-    _il0.flush();
-    _il0.resetStats();
-    _dl0.flush();
-    _dl0.resetStats();
-    _ul1.flush();
-    _ul1.resetStats();
-    _itlb.flush();
-    _itlb.resetStats();
-    _dtlb.flush();
-    _dtlb.resetStats();
-    _fb.reset();
-    _wcb.reset();
-    _il0Guard.reset();
-    _dl0Guard.reset();
-    _ul1Guard.reset();
-    _itlbGuard.reset();
-    _dtlbGuard.reset();
-    _fbGuard.reset();
-    _pending.clear();
-}
-
 } // namespace memory
 } // namespace iraw

@@ -130,9 +130,6 @@ class MemoryHierarchy
 
     const MemoryConfig &config() const { return _cfg; }
 
-    /** Drop all cached state and statistics. */
-    void reset();
-
   private:
     /**
      * Service an L0 miss for @p lineAddr through FB -> UL1 -> DRAM.

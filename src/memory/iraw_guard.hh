@@ -107,15 +107,6 @@ class IrawPortGuard
         return granted;
     }
 
-    void
-    reset()
-    {
-        _windows.clear();
-        _writes = 0;
-        _stallCycles = 0;
-        _stallEvents = 0;
-    }
-
     uint64_t writes() const { return _writes; }
     uint64_t stallCycles() const { return _stallCycles; }
     uint64_t stallEvents() const { return _stallEvents; }

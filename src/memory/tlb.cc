@@ -66,19 +66,5 @@ Tlb::fill(uint64_t addr)
     return static_cast<uint32_t>(victim - _entries.data());
 }
 
-void
-Tlb::flush()
-{
-    for (auto &entry : _entries)
-        entry = Entry{};
-}
-
-void
-Tlb::resetStats()
-{
-    _accesses = 0;
-    _misses = 0;
-}
-
 } // namespace memory
 } // namespace iraw

@@ -48,9 +48,6 @@ class Tlb
      */
     uint32_t fill(uint64_t addr);
 
-    /** Drop everything (context switch). */
-    void flush();
-
     const TlbParams &params() const { return _params; }
     uint64_t accesses() const { return _accesses; }
     uint64_t misses() const { return _misses; }
@@ -61,7 +58,6 @@ class Tlb
                    ? static_cast<double>(_misses) / _accesses
                    : 0.0;
     }
-    void resetStats();
 
   private:
     struct Entry

@@ -1,7 +1,5 @@
 #include "predictor/branch_predictor.hh"
 
-#include <algorithm>
-
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 
@@ -51,14 +49,6 @@ BimodalPredictor::update(uint64_t pc, bool taken)
     return (_counters[idx] >= 2) != before;
 }
 
-void
-BimodalPredictor::reset()
-{
-    std::fill(_counters.begin(), _counters.end(),
-              static_cast<uint8_t>(2));
-    resetStats();
-}
-
 GsharePredictor::GsharePredictor(uint32_t entries,
                                  uint32_t historyBits)
     : _historyBits(historyBits)
@@ -93,15 +83,6 @@ GsharePredictor::update(uint64_t pc, bool taken)
     _history = ((_history << 1) | (taken ? 1u : 0u)) &
                ((1u << _historyBits) - 1);
     return (_counters[idx] >= 2) != before;
-}
-
-void
-GsharePredictor::reset()
-{
-    std::fill(_counters.begin(), _counters.end(),
-              static_cast<uint8_t>(2));
-    _history = 0;
-    resetStats();
 }
 
 HybridPredictor::HybridPredictor(uint32_t entries,
@@ -154,18 +135,6 @@ uint32_t
 HybridPredictor::numEntries() const
 {
     return _gshare.numEntries();
-}
-
-void
-HybridPredictor::reset()
-{
-    _bimodal.reset();
-    _gshare.reset();
-    std::fill(_chooser.begin(), _chooser.end(),
-              static_cast<uint8_t>(2));
-    _lastBimodal = false;
-    _lastGshare = false;
-    resetStats();
 }
 
 } // namespace predictor

@@ -21,9 +21,8 @@ namespace predictor {
  * Each predictor has the same members: predict(pc); update(pc,
  * taken), true iff it flipped the direction (uppermost) bit of the
  * indexed entry — the only updates whose IRAW window can corrupt a
- * subsequent read (Sec. 4.5); totalBits() (area accounting);
- * entryIndex(pc) and numEntries() (IRAW analysis); and reset(), the
- * power-on state without re-allocating.  InlinePredictor
+ * subsequent read (Sec. 4.5); totalBits() (area accounting); and
+ * entryIndex(pc) and numEntries() (IRAW analysis).  InlinePredictor
  * (predictor_dispatch.hh) selects one by kind.
  */
 class BranchPredictor
@@ -41,12 +40,6 @@ class BranchPredictor
                    ? 1.0 - static_cast<double>(_mispredictions) /
                                _predictions
                    : 1.0;
-    }
-    void
-    resetStats()
-    {
-        _predictions = 0;
-        _mispredictions = 0;
     }
 
   protected:
@@ -80,7 +73,6 @@ class BimodalPredictor : public BranchPredictor
     {
         return static_cast<uint32_t>(_counters.size());
     }
-    void reset();
 
   private:
     std::vector<uint8_t> _counters; //!< 2-bit saturating counters
@@ -105,7 +97,6 @@ class GsharePredictor : public BranchPredictor
     {
         return static_cast<uint32_t>(_counters.size());
     }
-    void reset();
 
   private:
     std::vector<uint8_t> _counters;
@@ -125,7 +116,6 @@ class HybridPredictor : public BranchPredictor
     uint64_t totalBits() const;
     uint32_t entryIndex(uint64_t pc) const;
     uint32_t numEntries() const;
-    void reset();
 
   private:
     BimodalPredictor _bimodal;

@@ -76,15 +76,6 @@ class CorruptionTracker
                       : 0.0;
     }
 
-    void
-    reset()
-    {
-        _lastFlip.clear();
-        _reads = 0;
-        _updates = 0;
-        _conflicts = 0;
-    }
-
   private:
     uint32_t _n = 0;
     std::unordered_map<uint32_t, uint64_t> _lastFlip;

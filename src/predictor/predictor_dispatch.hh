@@ -114,13 +114,6 @@ class InlinePredictor
             [](const auto &p) { return p.accuracy(); }, _impl);
     }
 
-    /** Power-on state: tables, history, and stats — no allocation. */
-    void
-    reset()
-    {
-        std::visit([](auto &p) { p.reset(); }, _impl);
-    }
-
   private:
     using Impl = std::variant<BimodalPredictor, GsharePredictor,
                               HybridPredictor>;

@@ -42,12 +42,5 @@ ReturnStackBuffer::pop(uint64_t cycle, uint32_t stabilizationCycles)
     return res;
 }
 
-void
-ReturnStackBuffer::flush()
-{
-    _top = 0;
-    _occupancy = 0;
-}
-
 } // namespace predictor
 } // namespace iraw

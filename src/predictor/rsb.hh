@@ -43,8 +43,6 @@ class ReturnStackBuffer
      */
     PopResult pop(uint64_t cycle, uint32_t stabilizationCycles);
 
-    void flush();
-
     uint32_t depth() const { return _depth; }
     uint32_t occupancy() const { return _occupancy; }
     uint64_t pushes() const { return _pushes; }

@@ -140,8 +140,10 @@ scanSpoolFile(const std::string &path)
                      std::istreambuf_iterator<char>());
     size_t pos = 0;
     std::string payload;
-    while (pos < data.size() && parseFrame(data, pos, payload))
+    while (pos < data.size() && parseFrame(data, pos, payload)) {
         scan.payloads.push_back(payload);
+        scan.frameEnds.push_back(pos);
+    }
     scan.validBytes = pos;
     scan.torn = pos < data.size();
     return scan;

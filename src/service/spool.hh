@@ -48,6 +48,8 @@ struct SpoolScan
 {
     /** Frame payloads of the valid prefix, in file order. */
     std::vector<std::string> payloads;
+    /** File offset just past each payload's frame. */
+    std::vector<uint64_t> frameEnds;
     /** Bytes of the valid prefix (truncation point for a torn
      *  tail). */
     uint64_t validBytes = 0;

@@ -101,7 +101,11 @@ struct ShardScan
     /** Records after the header that decode as the shard's items,
      *  in order. */
     uint64_t items = 0;
+    /** End of the usable prefix: the header and those items. */
     uint64_t validBytes = 0;
+    /** Bytes beyond the usable prefix: a torn frame, or a CRC-valid
+     *  record of the wrong item, an undecodable one, or one past
+     *  the shard's last item. */
     bool torn = false;
     bool exists = false;
 };
@@ -135,6 +139,11 @@ scanShardSpool(const std::string &path, const Shard &shard)
            decodeResult(scan.payloads[out.items + 1], index, r) &&
            index == shard.indices[out.items])
         ++out.items;
+    // Only that prefix is usable: a resumed part file is cut back to
+    // it before the worker appends, and a done file with anything
+    // after it is not reused.
+    out.validBytes = scan.frameEnds[out.items];
+    out.torn = scan.torn || out.items + 1 < scan.payloads.size();
     return out;
 }
 

@@ -1,10 +1,12 @@
 #include "trace/analyzer.hh"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/bitutils.hh"
+#include "trace/trace_store.hh"
 
 namespace iraw {
 namespace trace {
@@ -35,7 +37,7 @@ TraceStats::depDistanceCdf(uint32_t d) const
 }
 
 TraceStats
-TraceAnalyzer::analyze(TraceSource &source, uint64_t maxInsts)
+TraceAnalyzer::analyze(const TraceBuffer &buffer, uint64_t maxInsts)
 {
     TraceStats stats;
 
@@ -48,11 +50,9 @@ TraceAnalyzer::analyze(TraceSource &source, uint64_t maxInsts)
     uint32_t minGap = 0;
     bool haveGap = false;
 
-    for (uint64_t i = 0; i < maxInsts; ++i) {
-        auto opt = source.next();
-        if (!opt)
-            break;
-        const MicroOp &op = *opt;
+    const uint64_t n = std::min(maxInsts, buffer.records());
+    for (uint64_t i = 0; i < n; ++i) {
+        const MicroOp &op = buffer.ops()[i];
 
         ++stats.instructions;
         ++stats.classCounts[static_cast<size_t>(op.opClass)];

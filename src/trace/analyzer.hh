@@ -15,7 +15,6 @@
 #include <string>
 
 #include "isa/microop.hh"
-#include "trace/trace_source.hh"
 
 namespace iraw {
 namespace trace {
@@ -55,12 +54,15 @@ struct TraceStats
     uint32_t minCallReturnGap = 0; //!< shortest call->return distance
 };
 
-/** Streams a trace and accumulates TraceStats. */
+class TraceBuffer;
+
+/** Walks a trace and accumulates TraceStats. */
 class TraceAnalyzer
 {
   public:
-    /** Analyze up to @p maxInsts micro-ops from @p source. */
-    static TraceStats analyze(TraceSource &source, uint64_t maxInsts);
+    /** Analyze the first @p maxInsts micro-ops of @p buffer. */
+    static TraceStats analyze(const TraceBuffer &buffer,
+                              uint64_t maxInsts);
 };
 
 } // namespace trace

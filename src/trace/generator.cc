@@ -14,31 +14,11 @@ using isa::RegId;
 
 SyntheticTraceGenerator::SyntheticTraceGenerator(
     const WorkloadProfile &profile, uint64_t seed, uint64_t maxInsts)
-    : _profile(profile), _seed(seed), _maxInsts(maxInsts)
+    : _profile(profile), _maxInsts(maxInsts)
 {
     _profile.validate();
-    reset();
-}
-
-void
-SyntheticTraceGenerator::reset()
-{
-    _rng.reseed(_seed, 0x1234abcd0000ULL ^ _seed);
+    _rng.reseed(seed, 0x1234abcd0000ULL ^ seed);
     buildStaticProgram();
-    _emitted = 0;
-    _pos = 0;
-    _callStack.clear();
-    _recentIntDst.clear();
-    _recentFpDst.clear();
-    _recentStoreAddrs.clear();
-    _nextIntDst = 0;
-    _nextFpDst = 0;
-}
-
-std::string
-SyntheticTraceGenerator::name() const
-{
-    return _profile.name + "/seed" + std::to_string(_seed);
 }
 
 void

@@ -24,17 +24,18 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hh"
-#include "trace/trace_source.hh"
+#include "isa/microop.hh"
 #include "trace/workload.hh"
 
 namespace iraw {
 namespace trace {
 
 /** Deterministic synthetic trace source. */
-class SyntheticTraceGenerator : public TraceSource
+class SyntheticTraceGenerator
 {
   public:
     /**
@@ -45,12 +46,8 @@ class SyntheticTraceGenerator : public TraceSource
     SyntheticTraceGenerator(const WorkloadProfile &profile,
                             uint64_t seed, uint64_t maxInsts = 0);
 
-    std::optional<isa::MicroOp> next() override;
-    void reset() override;
-    std::string name() const override;
-
-    const WorkloadProfile &profile() const { return _profile; }
-    uint64_t seed() const { return _seed; }
+    /** Next micro-op, or std::nullopt past maxInsts. */
+    std::optional<isa::MicroOp> next();
 
     /** Base virtual address of the synthetic code region. */
     static constexpr uint64_t kCodeBase = 0x0000000000400000ULL;
@@ -96,7 +93,6 @@ class SyntheticTraceGenerator : public TraceSource
     uint64_t pickMemAddr(StaticSlot &slot);
 
     WorkloadProfile _profile;
-    uint64_t _seed = 0;
     uint64_t _maxInsts = 0;
 
     Pcg32 _rng;

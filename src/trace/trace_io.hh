@@ -1,6 +1,7 @@
 /**
  * @file
- * Binary trace file format: writer and reader.
+ * Binary trace file format: the writer.  trace::materializeFile
+ * (trace/trace_store.hh) reads a file whole into a TraceBuffer.
  *
  * The paper's methodology is trace-driven; users with real traces can
  * convert them to this format and replay them through the simulator.
@@ -16,12 +17,13 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <vector>
 
-#include "trace/trace_source.hh"
+#include "isa/microop.hh"
 
 namespace iraw {
 namespace trace {
+
+class TraceBuffer;
 
 /** Magic bytes identifying a trace file. */
 constexpr char kTraceMagic[8] = {'I', 'R', 'A', 'W', 'T', 'R', 'C',
@@ -58,29 +60,12 @@ class TraceWriter
     bool _closed = false;
 };
 
-/** TraceSource that replays a binary trace file. */
-class TraceReader : public TraceSource
-{
-  public:
-    explicit TraceReader(const std::string &path);
-
-    std::optional<isa::MicroOp> next() override;
-    void reset() override;
-    std::string name() const override;
-
-    uint64_t recordCount() const { return _total; }
-
-  private:
-    void openAndValidate();
-
-    std::string _path;
-    std::ifstream _in;
-    uint64_t _total = 0;
-    uint64_t _read = 0;
-};
-
-/** Write a whole trace from any source; returns records written. */
-uint64_t dumpTrace(TraceSource &source, const std::string &path,
+/**
+ * Write the first @p maxRecords micro-ops of @p buffer (all of them
+ * if it holds fewer) to a trace file; returns records written.
+ * trace::materializeFile reads the file back.
+ */
+uint64_t dumpTrace(const TraceBuffer &buffer, const std::string &path,
                    uint64_t maxRecords);
 
 } // namespace trace

@@ -1,11 +1,14 @@
 #include "trace/trace_store.hh"
 
+#include <cstring>
+#include <fstream>
 #include <utility>
 
 #include "common/logging.hh"
 #include "obs/event_tracer.hh"
 #include "trace/generator.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_record.hh"
 
 namespace iraw {
 namespace trace {
@@ -32,27 +35,6 @@ ReplayTraceSource::ReplayTraceSource(TraceBufferPtr buffer)
     _count = _buffer->records();
 }
 
-std::optional<isa::MicroOp>
-ReplayTraceSource::next()
-{
-    const isa::MicroOp *op = take();
-    if (!op)
-        return std::nullopt;
-    return *op;
-}
-
-void
-ReplayTraceSource::reset()
-{
-    _pos = 0;
-}
-
-std::string
-ReplayTraceSource::name() const
-{
-    return _buffer->name();
-}
-
 TraceBufferPtr
 materializeSynthetic(const WorkloadProfile &profile, uint64_t seed,
                      uint64_t length)
@@ -63,18 +45,62 @@ materializeSynthetic(const WorkloadProfile &profile, uint64_t seed,
     ops.reserve(length);
     while (auto op = gen.next())
         ops.push_back(*op);
-    return std::make_shared<TraceBuffer>(gen.name(), std::move(ops));
+    return std::make_shared<TraceBuffer>(
+        profile.name + "/seed" + std::to_string(seed), std::move(ops));
 }
 
 TraceBufferPtr
 materializeFile(const std::string &path)
 {
-    TraceReader reader(path);
-    std::vector<isa::MicroOp> ops;
-    ops.reserve(reader.recordCount());
-    while (auto op = reader.next())
-        ops.push_back(*op);
-    return std::make_shared<TraceBuffer>(reader.name(), std::move(ops));
+    std::ifstream in(path, std::ios::binary);
+    fatalIf(!in, "TraceReader: cannot open '%s'", path.c_str());
+
+    char magic[8];
+    in.read(magic, sizeof(magic));
+    fatalIf(!in || std::memcmp(magic, kTraceMagic, sizeof(magic)) != 0,
+            "TraceReader: '%s' is not an IRAW trace", path.c_str());
+
+    uint8_t header[4 + 8];
+    in.read(reinterpret_cast<char *>(header), sizeof(header));
+    fatalIf(!in, "TraceReader: '%s' truncated header", path.c_str());
+    uint32_t version = getLe32(header);
+    fatalIf(version != kTraceVersion,
+            "TraceReader: '%s' has unsupported version %u",
+            path.c_str(), version);
+    const uint64_t total = getLe64(header + 4);
+
+    // Bound the claimed count by what the file actually holds, so a
+    // corrupt/crafted header can neither oversize the reserve below
+    // (total * sizeof(MicroOp) must not overflow) nor promise
+    // records that are not there.
+    const std::streamoff headerBytes =
+        sizeof(kTraceMagic) + sizeof(header);
+    in.seekg(0, std::ios::end);
+    const std::streamoff fileBytes = in.tellg();
+    in.seekg(headerBytes);
+    fatalIf(!in, "TraceReader: '%s' not seekable", path.c_str());
+    const uint64_t available =
+        static_cast<uint64_t>(fileBytes - headerBytes) /
+        kTraceRecordBytes;
+    fatalIf(total > available,
+            "TraceReader: '%s' header claims %llu records but the "
+            "file holds %llu",
+            path.c_str(), static_cast<unsigned long long>(total),
+            static_cast<unsigned long long>(available));
+
+    std::vector<isa::MicroOp> ops(total);
+    for (uint64_t i = 0; i < total; ++i) {
+        uint8_t buf[kTraceRecordBytes];
+        in.read(reinterpret_cast<char *>(buf), sizeof(buf));
+        fatalIf(!in, "TraceReader: '%s' truncated at record %llu",
+                path.c_str(), static_cast<unsigned long long>(i));
+        // The record carries the source's sequence number;
+        // synthesizing one here would make replays diverge from the
+        // dumped stream.
+        unpackRecord(buf, ops[i]);
+    }
+    return std::make_shared<TraceBuffer>("file:" + path,
+                                         std::move(ops));
 }
 
 TraceStore::TraceStore() : TraceStore(Config()) {}

@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hh"
-#include "trace/trace_source.hh"
+#include "isa/microop.hh"
 #include "trace/workload.hh"
 
 namespace iraw {
@@ -75,20 +75,19 @@ class TraceBuffer
 
 using TraceBufferPtr = std::shared_ptr<const TraceBuffer>;
 
-/** A cheap per-worker cursor over a shared TraceBuffer. */
-class ReplayTraceSource : public TraceSource
+/**
+ * A cheap per-worker cursor over a shared TraceBuffer.  It holds a
+ * reference to the buffer, so every pointer take() hands out stays
+ * valid for the cursor's lifetime.
+ */
+class ReplayTraceSource
 {
   public:
     explicit ReplayTraceSource(TraceBufferPtr buffer);
 
-    std::optional<isa::MicroOp> next() override;
-    void reset() override;
-    std::string name() const override;
-
     /**
-     * Zero-copy cursor step: a pointer to the next decoded micro-op
-     * (stable for the buffer's lifetime), or null at end of trace.
-     * Shares its position with next(), so the two can be mixed.
+     * Zero-copy cursor step: a pointer to the next decoded micro-op,
+     * or null at end of trace.
      */
     const isa::MicroOp *
     take()
@@ -97,8 +96,6 @@ class ReplayTraceSource : public TraceSource
             return nullptr;
         return _ops + _pos++;
     }
-
-    const TraceBufferPtr &buffer() const { return _buffer; }
 
   private:
     TraceBufferPtr _buffer;
@@ -125,7 +122,11 @@ replayLength(uint64_t instBudget, uint32_t iqEntries)
 TraceBufferPtr materializeSynthetic(const WorkloadProfile &profile,
                                     uint64_t seed, uint64_t length);
 
-/** Load a whole binary trace file into a buffer. */
+/**
+ * Load a whole binary trace file (trace/trace_io.hh) into a buffer.
+ * A missing file, a bad magic or version, a header that claims more
+ * records than the file holds, or a short read is a FatalError.
+ */
 TraceBufferPtr materializeFile(const std::string &path);
 
 /**

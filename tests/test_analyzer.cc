@@ -5,33 +5,18 @@
 #include <vector>
 
 #include "trace/analyzer.hh"
-#include "trace/generator.hh"
+#include "trace/trace_store.hh"
 
 namespace iraw {
 namespace trace {
 namespace {
 
-/** Trace source replaying a fixed vector (test fixture). */
-class VectorSource : public TraceSource
+/** A resident trace of exactly @p ops. */
+TraceBuffer
+bufferOf(std::vector<isa::MicroOp> ops)
 {
-  public:
-    explicit VectorSource(std::vector<isa::MicroOp> ops)
-        : _ops(std::move(ops))
-    {}
-    std::optional<isa::MicroOp>
-    next() override
-    {
-        if (_idx >= _ops.size())
-            return std::nullopt;
-        return _ops[_idx++];
-    }
-    void reset() override { _idx = 0; }
-    std::string name() const override { return "vector"; }
-
-  private:
-    std::vector<isa::MicroOp> _ops;
-    size_t _idx = 0;
-};
+    return TraceBuffer("vector", std::move(ops));
+}
 
 isa::MicroOp
 alu(uint64_t seq, isa::RegId dst, isa::RegId src)
@@ -61,8 +46,7 @@ TEST(Analyzer, CountsClassesAndDistances)
     ld.memSize = 4;
     ops.push_back(ld); // distance 2 (src 2 written at idx 1)
 
-    VectorSource src(ops);
-    TraceStats stats = TraceAnalyzer::analyze(src, 100);
+    TraceStats stats = TraceAnalyzer::analyze(bufferOf(ops), 100);
     EXPECT_EQ(stats.instructions, 4u);
     EXPECT_EQ(stats.classCounts[static_cast<size_t>(
                   isa::OpClass::IntAlu)],
@@ -90,8 +74,7 @@ TEST(Analyzer, BranchAccounting)
         br.target = 0x400100;
         ops.push_back(br);
     }
-    VectorSource src(ops);
-    TraceStats stats = TraceAnalyzer::analyze(src, 100);
+    TraceStats stats = TraceAnalyzer::analyze(bufferOf(ops), 100);
     EXPECT_EQ(stats.branches, 4u);
     EXPECT_EQ(stats.takenBranches, 2u);
     EXPECT_DOUBLE_EQ(stats.takenFraction(), 0.5);
@@ -100,15 +83,15 @@ TEST(Analyzer, BranchAccounting)
 
 TEST(Analyzer, MaxInstsLimits)
 {
-    SyntheticTraceGenerator g(profileByName("kernels"), 1);
-    TraceStats stats = TraceAnalyzer::analyze(g, 1234);
+    TraceBufferPtr trace =
+        materializeSynthetic(profileByName("kernels"), 1, 2000);
+    TraceStats stats = TraceAnalyzer::analyze(*trace, 1234);
     EXPECT_EQ(stats.instructions, 1234u);
 }
 
 TEST(Analyzer, EmptySourceGivesZeroes)
 {
-    VectorSource src({});
-    TraceStats stats = TraceAnalyzer::analyze(src, 10);
+    TraceStats stats = TraceAnalyzer::analyze(bufferOf({}), 10);
     EXPECT_EQ(stats.instructions, 0u);
     EXPECT_DOUBLE_EQ(stats.meanDepDistance, 0.0);
     EXPECT_DOUBLE_EQ(stats.takenFraction(), 0.0);

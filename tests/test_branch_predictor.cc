@@ -93,8 +93,6 @@ TEST(Predictors, AccuracyStatTracks)
         bp.update(pc, true);
     EXPECT_GT(bp.accuracy(), 0.9);
     EXPECT_EQ(bp.predictions(), 100u);
-    bp.resetStats();
-    EXPECT_EQ(bp.predictions(), 0u);
 }
 
 TEST(Predictors, AccuracyIsPerfectWithoutPredictions)
@@ -104,30 +102,6 @@ TEST(Predictors, AccuracyIsPerfectWithoutPredictions)
     BimodalPredictor bp(256);
     EXPECT_EQ(bp.predictions(), 0u);
     EXPECT_DOUBLE_EQ(bp.accuracy(), 1.0);
-}
-
-TEST(Predictors, ResetRestoresPowerOnBehaviour)
-{
-    for (const char *kind : {"bimodal", "gshare", "hybrid"}) {
-        InlinePredictor fresh(kind, 512, 8);
-        InlinePredictor used(kind, 512, 8);
-        Pcg32 rng(7);
-        for (int i = 0; i < 2000; ++i)
-            used.update(0x400000 + (i % 37) * 4, rng.chance(0.6));
-        used.reset();
-        EXPECT_EQ(used.predictions(), 0u) << kind;
-        // After reset the trained predictor must track a pristine
-        // one decision-for-decision.
-        Pcg32 replay(13);
-        for (int i = 0; i < 2000; ++i) {
-            uint64_t pc = 0x500000 + (i % 53) * 4;
-            bool taken = replay.chance(0.5);
-            EXPECT_EQ(used.predict(pc), fresh.predict(pc))
-                << kind << " diverged at step " << i;
-            EXPECT_EQ(used.update(pc, taken), fresh.update(pc, taken))
-                << kind << " diverged at step " << i;
-        }
-    }
 }
 
 TEST(InlineDispatch, FusedSequenceMatchesSeparateCalls)

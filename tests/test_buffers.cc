@@ -122,15 +122,6 @@ TEST(WcbTest, Validation)
     EXPECT_THROW(FillBuffer("f", 0), FatalError);
 }
 
-TEST(WcbTest, ResetClears)
-{
-    WriteCombiningBuffer wcb("wcb", 2, 10);
-    wcb.push(0x100, 0);
-    wcb.reset();
-    EXPECT_EQ(wcb.occupancy(), 0u);
-    EXPECT_EQ(wcb.pushes(), 0u);
-}
-
 } // namespace
 } // namespace memory
 } // namespace iraw

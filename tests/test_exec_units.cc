@@ -68,16 +68,6 @@ TEST(ExecUnits, FpDivIndependentOfIntDiv)
         << "FP unit busy with the divide";
 }
 
-TEST(ExecUnits, ResetClearsDividerState)
-{
-    CoreConfig cfg;
-    ExecUnits units(cfg);
-    units.newCycle();
-    units.issue(OpClass::FpDiv, 10);
-    units.reset();
-    EXPECT_TRUE(units.canIssue(OpClass::FpDiv, 11));
-}
-
 TEST(ExecUnits, BranchesUseAluSlots)
 {
     CoreConfig cfg;

@@ -6,6 +6,7 @@
 
 #include "trace/analyzer.hh"
 #include "trace/generator.hh"
+#include "trace/trace_store.hh"
 
 namespace iraw {
 namespace trace {
@@ -38,17 +39,6 @@ TEST(Generator, DifferentSeedsDiffer)
             ++diffs;
     }
     EXPECT_GT(diffs, 0);
-}
-
-TEST(Generator, ResetReplaysIdentically)
-{
-    SyntheticTraceGenerator g(profileByName("kernels"), 7);
-    std::vector<uint64_t> pcs;
-    for (int i = 0; i < 300; ++i)
-        pcs.push_back(g.next()->pc);
-    g.reset();
-    for (int i = 0; i < 300; ++i)
-        EXPECT_EQ(g.next()->pc, pcs[static_cast<size_t>(i)]);
 }
 
 TEST(Generator, RespectsMaxInsts)
@@ -84,8 +74,8 @@ TEST(Generator, SequenceNumbersAreSequential)
 TEST(Generator, MixRoughlyMatchesProfile)
 {
     const auto &p = profileByName("spec2006int");
-    SyntheticTraceGenerator g(p, 11);
-    TraceStats stats = TraceAnalyzer::analyze(g, 60000);
+    TraceStats stats = TraceAnalyzer::analyze(
+        *materializeSynthetic(p, 11, 60000), 60000);
     // Dynamic mix wanders from the static mix (loops), but loads
     // and branches must be in a sane band.
     double loadFrac = stats.classFraction(isa::OpClass::Load);
@@ -102,8 +92,9 @@ TEST(Generator, MixRoughlyMatchesProfile)
 
 TEST(Generator, CallsAndReturnsBalance)
 {
-    SyntheticTraceGenerator g(profileByName("office"), 13);
-    TraceStats stats = TraceAnalyzer::analyze(g, 50000);
+    TraceStats stats = TraceAnalyzer::analyze(
+        *materializeSynthetic(profileByName("office"), 13, 50000),
+        50000);
     ASSERT_GT(stats.calls, 50u);
     // Returns only execute when matched with a call.
     EXPECT_LE(stats.returns, stats.calls);
@@ -132,8 +123,9 @@ TEST(Generator, DependencyDistancesAreTight)
 {
     // The profiles are tuned for close producer-consumer pairs (the
     // knob behind the paper's 13.2% delayed instructions).
-    SyntheticTraceGenerator g(profileByName("spec2006int"), 19);
-    TraceStats stats = TraceAnalyzer::analyze(g, 40000);
+    TraceStats stats = TraceAnalyzer::analyze(
+        *materializeSynthetic(profileByName("spec2006int"), 19, 40000),
+        40000);
     EXPECT_GT(stats.depDistanceCdf(4), 0.4);
     EXPECT_GT(stats.meanDepDistance, 1.0);
 }

@@ -144,17 +144,6 @@ TEST(Hierarchy, WcbForwardsPendingVictim)
               t + 100 + cfg.wcbForwardLatency + 2);
 }
 
-TEST(Hierarchy, ResetRestoresColdState)
-{
-    MemoryHierarchy mem(testConfig());
-    mem.setDramLatencyCycles(50);
-    mem.dataLoad(0x10000, 10);
-    mem.reset();
-    EXPECT_EQ(mem.dl0().accesses(), 0u);
-    auto res = mem.dataLoad(0x10000, 10);
-    EXPECT_FALSE(res.l0Hit);
-}
-
 TEST(Hierarchy, TotalSramBitsSane)
 {
     MemoryHierarchy mem(testConfig());

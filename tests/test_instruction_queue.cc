@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.hh"
 #include "core/instruction_queue.hh"
 #include "iraw/iq_gate.hh"
@@ -10,34 +12,46 @@ namespace iraw {
 namespace core {
 namespace {
 
-IqEntry
-entry(uint64_t seq)
+/** Micro-ops 1..n, which IQ entries point at. */
+std::vector<isa::MicroOp>
+nops(uint64_t n)
 {
-    IqEntry e;
-    e.op = isa::makeNop(seq, 0x1000 + seq * 4);
-    return e;
+    std::vector<isa::MicroOp> ops;
+    ops.reserve(n);
+    for (uint64_t seq = 1; seq <= n; ++seq)
+        ops.push_back(isa::makeNop(seq, 0x1000 + seq * 4));
+    return ops;
+}
+
+/** Allocate a tail entry for @p op. */
+void
+push(InstructionQueue &iq, const isa::MicroOp &op)
+{
+    iq.allocateBack().op = &op;
 }
 
 TEST(IqTest, FifoOrder)
 {
     InstructionQueue iq(8);
-    for (uint64_t i = 1; i <= 3; ++i)
-        iq.allocate(entry(i));
+    const std::vector<isa::MicroOp> ops = nops(3);
+    for (const isa::MicroOp &op : ops)
+        push(iq, op);
     EXPECT_EQ(iq.occupancy(), 3u);
-    EXPECT_EQ(iq.at(0).op.seqNum, 1u);
-    EXPECT_EQ(iq.at(2).op.seqNum, 3u);
+    EXPECT_EQ(iq.at(0).op->seqNum, 1u);
+    EXPECT_EQ(iq.at(2).op->seqNum, 3u);
     iq.popFront();
-    EXPECT_EQ(iq.at(0).op.seqNum, 2u);
+    EXPECT_EQ(iq.at(0).op->seqNum, 2u);
 }
 
 TEST(IqTest, FullAndEmpty)
 {
     InstructionQueue iq(4);
+    const std::vector<isa::MicroOp> ops = nops(5);
     EXPECT_TRUE(iq.empty());
     for (uint64_t i = 0; i < 4; ++i)
-        iq.allocate(entry(i));
+        push(iq, ops[i]);
     EXPECT_TRUE(iq.full());
-    EXPECT_THROW(iq.allocate(entry(9)), PanicError);
+    EXPECT_THROW(push(iq, ops[4]), PanicError);
     for (int i = 0; i < 4; ++i)
         iq.popFront();
     EXPECT_TRUE(iq.empty());
@@ -47,11 +61,12 @@ TEST(IqTest, FullAndEmpty)
 TEST(IqTest, PopBackSquashesYoungest)
 {
     InstructionQueue iq(8);
-    for (uint64_t i = 1; i <= 3; ++i)
-        iq.allocate(entry(i));
+    const std::vector<isa::MicroOp> ops = nops(3);
+    for (const isa::MicroOp &op : ops)
+        push(iq, op);
     iq.popBack();
     EXPECT_EQ(iq.occupancy(), 2u);
-    EXPECT_EQ(iq.at(1).op.seqNum, 2u);
+    EXPECT_EQ(iq.at(1).op->seqNum, 2u);
 }
 
 TEST(IqTest, PointersMatchFigure9Occupancy)
@@ -60,7 +75,7 @@ TEST(IqTest, PointersMatchFigure9Occupancy)
     mechanism::IqOccupancyGate gate(32, 2, 2);
     // Random-ish workload of allocations and pops; the hardware
     // occupancy (from pointers) must always equal the software one.
-    uint64_t seq = 0;
+    const isa::MicroOp nop = isa::makeNop(1, 0x1000);
     auto check = [&]() {
         EXPECT_EQ(gate.occupancyFromPointers(iq.headPointer(),
                                              iq.tailPointer()),
@@ -69,7 +84,7 @@ TEST(IqTest, PointersMatchFigure9Occupancy)
     for (int round = 0; round < 200; ++round) {
         int allocs = (round * 7) % 3;
         for (int a = 0; a < allocs && !iq.full(); ++a)
-            iq.allocate(entry(++seq));
+            push(iq, nop);
         check();
         int pops = (round * 5) % 2;
         for (int p = 0; p < pops && !iq.empty(); ++p)
@@ -86,11 +101,11 @@ TEST(IqTest, PointerWraparound)
 {
     InstructionQueue iq(4);
     mechanism::IqOccupancyGate gate(4, 1, 1);
-    uint64_t seq = 0;
+    const isa::MicroOp nop = isa::makeNop(1, 0x1000);
     // Push/pop far past the pointer modulus.
     for (int i = 0; i < 50; ++i) {
-        iq.allocate(entry(++seq));
-        iq.allocate(entry(++seq));
+        push(iq, nop);
+        push(iq, nop);
         EXPECT_EQ(gate.occupancyFromPointers(iq.headPointer(),
                                              iq.tailPointer()),
                   2u);
@@ -102,7 +117,8 @@ TEST(IqTest, PointerWraparound)
 TEST(IqTest, ClearResets)
 {
     InstructionQueue iq(8);
-    iq.allocate(entry(1));
+    const isa::MicroOp nop = isa::makeNop(1, 0x1000);
+    push(iq, nop);
     iq.clear();
     EXPECT_TRUE(iq.empty());
     EXPECT_EQ(iq.headPointer(), 0u);

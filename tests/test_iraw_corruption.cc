@@ -54,17 +54,6 @@ TEST(Corruption, ConflictRateComputation)
     EXPECT_DOUBLE_EQ(t.conflictRate(), 0.1);
 }
 
-TEST(Corruption, ResetClears)
-{
-    CorruptionTracker t(1);
-    t.noteUpdate(1, 10, true);
-    t.noteRead(1, 11);
-    t.reset();
-    EXPECT_EQ(t.reads(), 0u);
-    EXPECT_EQ(t.conflicts(), 0u);
-    EXPECT_FALSE(t.noteRead(1, 11));
-}
-
 } // namespace
 } // namespace predictor
 } // namespace iraw

@@ -66,18 +66,6 @@ TEST(IrawGuard, ChainsAcrossBackToBackWindows)
     EXPECT_EQ(g.stallCycles(), 3u);
 }
 
-TEST(IrawGuard, ResetClearsState)
-{
-    IrawPortGuard g("x");
-    g.setStabilizationCycles(1);
-    g.noteWrite(5);
-    g.resolve(6);
-    g.reset();
-    EXPECT_EQ(g.writes(), 0u);
-    EXPECT_EQ(g.stallCycles(), 0u);
-    EXPECT_FALSE(g.blocked(6));
-}
-
 TEST(IrawGuard, ManyWritesPruneWithoutLosingRecentWindows)
 {
     IrawPortGuard g("x");

@@ -273,18 +273,6 @@ TEST(PipelineTest, RejectsNBeyondHardwareSizing)
                  FatalError);
 }
 
-TEST(PipelineTest, ResetAllowsRerun)
-{
-    Rig rig;
-    rig.pipe.applySettings(settings(true, 1));
-    const auto first = rig.pipe.run(10000);
-    rig.pipe.reset();
-    rig.src.reset();
-    rig.mem.reset();
-    const auto &second = rig.pipe.run(10000);
-    EXPECT_EQ(first.cycles, second.cycles);
-}
-
 TEST(PipelineTest, DeterminismModeStallsRsbConflicts)
 {
     CoreConfig cfg;

@@ -59,15 +59,6 @@ TEST(Rsb, IrawWindowDetection)
     EXPECT_FALSE(disabled.inIrawWindow);
 }
 
-TEST(Rsb, FlushEmpties)
-{
-    ReturnStackBuffer rsb(4);
-    rsb.push(0x1, 1);
-    rsb.flush();
-    EXPECT_EQ(rsb.occupancy(), 0u);
-    EXPECT_FALSE(rsb.pop(2, 0).valid);
-}
-
 TEST(Rsb, StatsAccumulate)
 {
     ReturnStackBuffer rsb(4);

@@ -138,16 +138,6 @@ TEST(ScoreboardTest, ReconfigurationAffectsOnlyNewProducers)
     EXPECT_TRUE(sb.isReady(4)) << "new producer has no bubble";
 }
 
-TEST(ScoreboardTest, ResetRestoresQuiescence)
-{
-    Scoreboard sb(8, 1);
-    sb.setLongLatencyProducer(2, 30);
-    sb.setProducer(3, 4);
-    sb.reset();
-    EXPECT_TRUE(sb.isReady(2));
-    EXPECT_TRUE(sb.isReady(3));
-}
-
 TEST(ScoreboardTest, InvalidRegisterPanics)
 {
     Scoreboard sb(8, 1);

@@ -21,18 +21,21 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "adapt/vcc_controller.hh"
 #include "common/logging.hh"
 #include "fields_equal.hh"
+#include "obs/event_tracer.hh"
 #include "service/fault_injector.hh"
 #include "service/shard_manifest.hh"
 #include "service/spool.hh"
 #include "service/supervisor.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
-#include "trace/generator.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_store.hh"
+#include "variation/chip_sample.hh"
 
 namespace iraw {
 namespace service {
@@ -371,6 +374,201 @@ TEST(ShardManifest, DeterministicAndConfigSensitive)
         EXPECT_EQ(e[i].stem, a[i].stem);
 }
 
+TEST(ShardManifest, EveryHashedFieldMovesTheFingerprint)
+{
+    // A base with a chip and an adapt config attached, so every
+    // hashed field is reachable.
+    auto chip = [](const variation::VariationParams &params,
+                   uint64_t populationSeed, uint32_t index) {
+        return std::make_shared<const variation::ChipSample>(
+            variation::ChipSample::sample(
+                variation::VariationModel(params), populationSeed,
+                index,
+                variation::ChipGeometry::from(core::CoreConfig(),
+                                              memory::MemoryConfig())));
+    };
+    sim::SimConfig base;
+    base.chip = chip(variation::VariationParams(), 1, 0);
+    base.adapt = std::make_shared<const adapt::AdaptConfig>();
+    const uint64_t fp = configFingerprint(base);
+
+    using Edit = std::function<void(sim::SimConfig &)>;
+    auto adaptEdit = [](std::function<void(adapt::AdaptConfig &)> f) {
+        return [f = std::move(f)](sim::SimConfig &c) {
+            auto a = std::make_shared<adapt::AdaptConfig>(*c.adapt);
+            f(*a);
+            c.adapt = a;
+        };
+    };
+    auto chipEdit =
+        [&chip](std::function<void(variation::VariationParams &)> f,
+                uint64_t populationSeed, uint32_t index) {
+            return [chip, f = std::move(f), populationSeed,
+                    index](sim::SimConfig &c) {
+                variation::VariationParams params;
+                f(params);
+                c.chip = chip(params, populationSeed, index);
+            };
+        };
+    auto noParams = [](variation::VariationParams &) {};
+
+    std::vector<std::pair<std::string, Edit>> moves = {
+        {"fetchWidth", [](sim::SimConfig &c) { ++c.core.fetchWidth; }},
+        {"issueWidth", [](sim::SimConfig &c) { ++c.core.issueWidth; }},
+        {"iqEntries", [](sim::SimConfig &c) { c.core.iqEntries *= 2; }},
+        {"scoreboardBits",
+         [](sim::SimConfig &c) { ++c.core.scoreboardBits; }},
+        {"bypassLevels", [](sim::SimConfig &c) { ++c.core.bypassLevels; }},
+        {"commitStoresPerCycle",
+         [](sim::SimConfig &c) { ++c.core.commitStoresPerCycle; }},
+        {"maxStabilizationCycles",
+         [](sim::SimConfig &c) { ++c.core.maxStabilizationCycles; }},
+        {"branchMispredictPenalty",
+         [](sim::SimConfig &c) { ++c.core.branchMispredictPenalty; }},
+        {"loadMissForwardDelay",
+         [](sim::SimConfig &c) { ++c.core.loadMissForwardDelay; }},
+        {"predictorKind",
+         [](sim::SimConfig &c) { c.core.predictorKind = "gshare"; }},
+        {"predictorEntries",
+         [](sim::SimConfig &c) { c.core.predictorEntries *= 2; }},
+        {"predictorHistoryBits",
+         [](sim::SimConfig &c) { ++c.core.predictorHistoryBits; }},
+        {"rsbDepth", [](sim::SimConfig &c) { ++c.core.rsbDepth; }},
+        {"determinismMode",
+         [](sim::SimConfig &c) { c.core.determinismMode = true; }},
+        {"injectPredictionCorruption",
+         [](sim::SimConfig &c) {
+             c.core.injectPredictionCorruption = true;
+         }},
+        {"corruptionSeed",
+         [](sim::SimConfig &c) { ++c.core.corruptionSeed; }},
+        {"intAluUnits", [](sim::SimConfig &c) { ++c.core.intAluUnits; }},
+        {"memPorts", [](sim::SimConfig &c) { ++c.core.memPorts; }},
+        {"fpUnits", [](sim::SimConfig &c) { ++c.core.fpUnits; }},
+        {"ul1HitLatency", [](sim::SimConfig &c) { ++c.mem.ul1HitLatency; }},
+        {"fbEntries", [](sim::SimConfig &c) { ++c.mem.fbEntries; }},
+        {"wcbEntries", [](sim::SimConfig &c) { ++c.mem.wcbEntries; }},
+        {"wcbDrainLatency",
+         [](sim::SimConfig &c) { ++c.mem.wcbDrainLatency; }},
+        {"wcbForwardLatency",
+         [](sim::SimConfig &c) { ++c.mem.wcbForwardLatency; }},
+        {"dramLatencyNs", [](sim::SimConfig &c) { c.mem.dramLatencyNs += 1; }},
+        {"workload", [](sim::SimConfig &c) { c.workload = "office"; }},
+        {"tracePath", [](sim::SimConfig &c) { c.tracePath = "x.trc"; }},
+        {"seed", [](sim::SimConfig &c) { ++c.seed; }},
+        {"instructions", [](sim::SimConfig &c) { ++c.instructions; }},
+        {"warmupInstructions",
+         [](sim::SimConfig &c) { ++c.warmupInstructions; }},
+        {"vcc", [](sim::SimConfig &c) { c.vcc += 25.0; }},
+        {"mode",
+         [](sim::SimConfig &c) { c.mode = mechanism::IrawMode::ForcedOn; }},
+        {"issueThrottle", [](sim::SimConfig &c) { c.issueThrottle = 1; }},
+        {"no chip", [](sim::SimConfig &c) { c.chip = nullptr; }},
+        {"chip index", chipEdit(noParams, 1, 1)},
+        {"chip seed", chipEdit(noParams, 2, 0)},
+        {"sigma", chipEdit([](auto &p) { p.sigma += 0.01; }, 1, 0)},
+        {"systematicSigma",
+         chipEdit([](auto &p) { p.systematicSigma += 0.01; }, 1, 0)},
+        {"voltageExponent",
+         chipEdit([](auto &p) { p.voltageExponent += 1.0; }, 1, 0)},
+        {"no adapt", [](sim::SimConfig &c) { c.adapt = nullptr; }},
+        {"policy", adaptEdit([](auto &a) {
+             a.policy = adapt::Policy::Reactive;
+         })},
+        {"epochCycles", adaptEdit([](auto &a) { ++a.epochCycles; })},
+        {"switchCycles", adaptEdit([](auto &a) { ++a.switchCycles; })},
+        {"switchEnergyAu",
+         adaptEdit([](auto &a) { a.switchEnergyAu += 1.0; })},
+        {"floorVcc", adaptEdit([](auto &a) { a.floorVcc = 450.0; })},
+        {"stepDownThreshold",
+         adaptEdit([](auto &a) { a.stepDownThreshold += 0.01; })},
+        {"stepUpThreshold",
+         adaptEdit([](auto &a) { a.stepUpThreshold += 0.01; })},
+        {"refTimePerInst",
+         adaptEdit([](auto &a) { a.refTimePerInst += 1.0; })},
+        {"irawDynOverhead",
+         adaptEdit([](auto &a) { a.irawDynOverhead += 0.01; })},
+        {"capPowerAu", adaptEdit([](auto &a) { a.capPowerAu = 1.0; })},
+        {"modeVariants", adaptEdit([](auto &a) { ++a.modeVariants; })},
+        {"throttleVariants",
+         adaptEdit([](auto &a) { ++a.throttleVariants; })},
+        {"hysteresisEpochs",
+         adaptEdit([](auto &a) { ++a.hysteresisEpochs; })},
+        {"phaseIpcThreshold",
+         adaptEdit([](auto &a) { a.phaseIpcThreshold += 0.01; })},
+        {"phaseStallThreshold",
+         adaptEdit([](auto &a) { a.phaseStallThreshold += 0.01; })},
+        {"capSelectFraction",
+         adaptEdit([](auto &a) { a.capSelectFraction = 0.5; })},
+        {"resolvedFloorVcc",
+         adaptEdit([](auto &a) { a.resolvedFloorVcc = 450.0; })},
+    };
+    for (size_t i = 0; i < isa::kNumOpClasses; ++i) {
+        const auto cls = static_cast<isa::OpClass>(i);
+        moves.emplace_back(
+            "latency of class " + std::to_string(i),
+            [cls](sim::SimConfig &c) {
+                c.core.latencies.setLatency(
+                    cls, c.core.latencies.latency(cls) + 1);
+            });
+    }
+    using Cache = memory::CacheParams memory::MemoryConfig::*;
+    for (Cache cache : {&memory::MemoryConfig::il0,
+                        &memory::MemoryConfig::dl0,
+                        &memory::MemoryConfig::ul1}) {
+        moves.emplace_back("cache sizeBytes", [cache](sim::SimConfig &c) {
+            (c.mem.*cache).sizeBytes *= 2;
+        });
+        moves.emplace_back("cache assoc", [cache](sim::SimConfig &c) {
+            (c.mem.*cache).assoc *= 2;
+        });
+        moves.emplace_back("cache lineBytes", [cache](sim::SimConfig &c) {
+            (c.mem.*cache).lineBytes *= 2;
+        });
+    }
+    using Tlb = memory::TlbParams memory::MemoryConfig::*;
+    for (Tlb tlb : {&memory::MemoryConfig::itlb,
+                    &memory::MemoryConfig::dtlb}) {
+        moves.emplace_back("tlb entries", [tlb](sim::SimConfig &c) {
+            (c.mem.*tlb).entries *= 2;
+        });
+        moves.emplace_back("tlb pageBytes", [tlb](sim::SimConfig &c) {
+            (c.mem.*tlb).pageBytes *= 2;
+        });
+        moves.emplace_back("tlb missPenalty", [tlb](sim::SimConfig &c) {
+            ++(c.mem.*tlb).missPenalty;
+        });
+    }
+    for (const auto &[what, edit] : moves) {
+        sim::SimConfig cfg = base;
+        edit(cfg);
+        EXPECT_NE(configFingerprint(cfg), fp) << what;
+    }
+
+    // Observers and labels do not change a result, so they keep the
+    // fingerprint.
+    const std::vector<std::pair<std::string, Edit>> stays = {
+        {"profile", [](sim::SimConfig &c) { c.profile = true; }},
+        {"tracer",
+         [](sim::SimConfig &c) {
+             c.tracer = std::make_shared<obs::EventTracer>();
+         }},
+        {"cache names",
+         [](sim::SimConfig &c) {
+             c.mem.il0.name = c.mem.dl0.name = c.mem.ul1.name = "x";
+         }},
+        {"tlb names",
+         [](sim::SimConfig &c) {
+             c.mem.itlb.name = c.mem.dtlb.name = "x";
+         }},
+    };
+    for (const auto &[what, edit] : stays) {
+        sim::SimConfig cfg = base;
+        edit(cfg);
+        EXPECT_EQ(configFingerprint(cfg), fp) << what;
+    }
+}
+
 class ServiceRunTest : public ::testing::Test
 {
   protected:
@@ -621,6 +819,82 @@ TEST_F(ServiceRunTest, ResumeRejectsARecordOfTheWrongItem)
     EXPECT_EQ(stats.shardsFailed, 0u);
 }
 
+TEST_F(ServiceRunTest, ResumeRerunsADoneSpoolWithAnExtraRecord)
+{
+    sim::Simulator sim;
+    std::vector<sim::SimConfig> configs = smallConfigs();
+    std::vector<Shard> manifest = buildManifest(configs, 2, 0).shards;
+
+    {
+        ServiceSession session(baseConfig());
+        runSharded(sim, session, configs, 2);
+    }
+
+    // Append a copy of one completed spool's last record: every
+    // frame and CRC is valid and every item is there, but one
+    // record follows the shard's last item.
+    const std::string victim = donePath(_dir, manifest[2]);
+    SpoolScan scan = scanSpoolFile(victim);
+    ASSERT_EQ(scan.payloads.size(), 3u);
+    {
+        std::ofstream out(victim, std::ios::binary | std::ios::app);
+        out << frameRecord(scan.payloads[2]);
+    }
+
+    // The spool is not reused as complete; its shard reruns.
+    ServiceConfig cfg = baseConfig();
+    cfg.resume = true;
+    ServiceSession session(cfg);
+    std::vector<sim::SimResult> resumed =
+        runSharded(sim, session, configs, 2);
+    expectResultsIdentical(resumed, inProcess(sim, configs));
+
+    ServiceStats stats = session.stats();
+    EXPECT_EQ(stats.shardsReused, 3u);
+    EXPECT_EQ(stats.badRecords, 1u);
+    EXPECT_EQ(stats.shardsFailed, 0u);
+}
+
+TEST_F(ServiceRunTest, ResumeTruncatesAPartSpoolAtItsUsablePrefix)
+{
+    sim::Simulator sim;
+    std::vector<sim::SimConfig> configs = smallConfigs();
+    const Shard shard = buildManifest(configs, 2, 0).shards[2];
+
+    {
+        ServiceSession session(baseConfig());
+        runSharded(sim, session, configs, 2);
+    }
+
+    // Turn one completed spool into a checkpoint of its header, its
+    // first item's record and that record again: every frame and
+    // CRC is valid, but only the first two records are usable.
+    SpoolScan scan = scanSpoolFile(donePath(_dir, shard));
+    ASSERT_EQ(scan.payloads.size(), 3u);
+    fs::remove(donePath(_dir, shard));
+    {
+        std::ofstream out(partPath(_dir, shard), std::ios::binary);
+        out << frameRecord(scan.payloads[0])
+            << frameRecord(scan.payloads[1])
+            << frameRecord(scan.payloads[1]);
+    }
+
+    // The resume cuts the repeat off, keeps the first item and
+    // appends the second after it.
+    ServiceConfig cfg = baseConfig();
+    cfg.resume = true;
+    ServiceSession session(cfg);
+    std::vector<sim::SimResult> resumed =
+        runSharded(sim, session, configs, 2);
+    expectResultsIdentical(resumed, inProcess(sim, configs));
+
+    ServiceStats stats = session.stats();
+    EXPECT_EQ(stats.shardsReused, 3u);
+    EXPECT_EQ(stats.tornTails, 1u);
+    EXPECT_EQ(stats.recordsResumed, configs.size() - 1);
+    EXPECT_EQ(stats.shardsFailed, 0u);
+}
+
 TEST_F(ServiceRunTest, ResumeRerunsShardsOfARewrittenTraceFile)
 {
     // Invariant 8: a trace= file's shards are named by its bytes,
@@ -628,9 +902,9 @@ TEST_F(ServiceRunTest, ResumeRerunsShardsOfARewrittenTraceFile)
     // and a resume reruns instead of merging the old trace's results.
     const std::string path = _dir + ".trc";
     auto dump = [&path](const char *workload) {
-        trace::SyntheticTraceGenerator gen(
-            trace::profileByName(workload), 1);
-        trace::dumpTrace(gen, path, 6000);
+        trace::dumpTrace(*trace::materializeSynthetic(
+                             trace::profileByName(workload), 1, 6000),
+                         path, 6000);
     };
     std::vector<sim::SimConfig> configs;
     for (double vcc : {450.0, 500.0}) {

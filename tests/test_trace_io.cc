@@ -10,12 +10,19 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "trace/generator.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_store.hh"
 
 namespace iraw {
 namespace trace {
 namespace {
+
+/** The first @p n micro-ops of (@p workload, @p seed). */
+TraceBufferPtr
+synth(const char *workload, uint64_t seed, uint64_t n)
+{
+    return materializeSynthetic(profileByName(workload), seed, n);
+}
 
 class TraceIoTest : public ::testing::Test
 {
@@ -35,29 +42,26 @@ class TraceIoTest : public ::testing::Test
 
 TEST_F(TraceIoTest, RoundTripPreservesEverything)
 {
-    SyntheticTraceGenerator gen(profileByName("spec2006int"), 5);
-    uint64_t written = dumpTrace(gen, _path, 5000);
+    TraceBufferPtr source = synth("spec2006int", 5, 5000);
+    uint64_t written = dumpTrace(*source, _path, 5000);
     EXPECT_EQ(written, 5000u);
 
-    gen.reset();
-    TraceReader reader(_path);
-    EXPECT_EQ(reader.recordCount(), 5000u);
+    TraceBufferPtr back = materializeFile(_path);
+    ASSERT_EQ(back->records(), 5000u);
     for (uint64_t i = 0; i < 5000; ++i) {
-        auto expect = gen.next();
-        auto got = reader.next();
-        ASSERT_TRUE(expect && got) << "at record " << i;
-        EXPECT_EQ(got->pc, expect->pc);
-        EXPECT_EQ(got->opClass, expect->opClass);
-        EXPECT_EQ(got->dst, expect->dst);
-        EXPECT_EQ(got->src1, expect->src1);
-        EXPECT_EQ(got->src2, expect->src2);
-        EXPECT_EQ(got->memAddr, expect->memAddr);
-        EXPECT_EQ(got->memSize, expect->memSize);
-        EXPECT_EQ(got->target, expect->target);
-        EXPECT_EQ(got->taken, expect->taken);
-        EXPECT_EQ(got->seqNum, i + 1);
+        const isa::MicroOp &expect = source->at(i);
+        const isa::MicroOp &got = back->at(i);
+        EXPECT_EQ(got.pc, expect.pc);
+        EXPECT_EQ(got.opClass, expect.opClass);
+        EXPECT_EQ(got.dst, expect.dst);
+        EXPECT_EQ(got.src1, expect.src1);
+        EXPECT_EQ(got.src2, expect.src2);
+        EXPECT_EQ(got.memAddr, expect.memAddr);
+        EXPECT_EQ(got.memSize, expect.memSize);
+        EXPECT_EQ(got.target, expect.target);
+        EXPECT_EQ(got.taken, expect.taken);
+        EXPECT_EQ(got.seqNum, i + 1);
     }
-    EXPECT_FALSE(reader.next().has_value());
 }
 
 TEST_F(TraceIoTest, SeqNumsSurviveRoundTripVerbatim)
@@ -72,13 +76,10 @@ TEST_F(TraceIoTest, SeqNumsSurviveRoundTripVerbatim)
             writer.append(isa::makeNop(s, 0x400000 + 4 * s));
         writer.close();
     }
-    TraceReader reader(_path);
-    for (uint64_t s : seqNums) {
-        auto op = reader.next();
-        ASSERT_TRUE(op);
-        EXPECT_EQ(op->seqNum, s);
-    }
-    EXPECT_FALSE(reader.next().has_value());
+    TraceBufferPtr back = materializeFile(_path);
+    ASSERT_EQ(back->records(), std::size(seqNums));
+    for (uint64_t i = 0; i < back->records(); ++i)
+        EXPECT_EQ(back->at(i).seqNum, seqNums[i]);
 }
 
 TEST_F(TraceIoTest, HeaderIsLittleEndian)
@@ -104,23 +105,9 @@ TEST_F(TraceIoTest, HeaderIsLittleEndian)
         EXPECT_EQ(header[i], 0) << "count byte " << i;
 }
 
-TEST_F(TraceIoTest, ReaderResetReplays)
-{
-    SyntheticTraceGenerator gen(profileByName("kernels"), 2);
-    dumpTrace(gen, _path, 100);
-    TraceReader reader(_path);
-    auto first = reader.next();
-    while (reader.next()) {
-    }
-    reader.reset();
-    auto again = reader.next();
-    ASSERT_TRUE(first && again);
-    EXPECT_EQ(first->pc, again->pc);
-}
-
 TEST_F(TraceIoTest, RejectsMissingFile)
 {
-    EXPECT_THROW(TraceReader("/nonexistent/file.trc"), FatalError);
+    EXPECT_THROW(materializeFile("/nonexistent/file.trc"), FatalError);
 }
 
 TEST_F(TraceIoTest, RejectsBadMagic)
@@ -128,13 +115,12 @@ TEST_F(TraceIoTest, RejectsBadMagic)
     std::ofstream out(_path, std::ios::binary);
     out << "NOTATRACEFILE_____________";
     out.close();
-    EXPECT_THROW(TraceReader reader(_path), FatalError);
+    EXPECT_THROW(materializeFile(_path), FatalError);
 }
 
 TEST_F(TraceIoTest, RejectsTruncatedRecords)
 {
-    SyntheticTraceGenerator gen(profileByName("kernels"), 2);
-    dumpTrace(gen, _path, 10);
+    dumpTrace(*synth("kernels", 2, 10), _path, 10);
     // Truncate mid-record.
     std::ifstream in(_path, std::ios::binary | std::ios::ate);
     auto size = in.tellg();
@@ -147,15 +133,14 @@ TEST_F(TraceIoTest, RejectsTruncatedRecords)
                                  static_cast<uintmax_t>(size) - 7);
     // The reader bounds the header's record count by the actual file
     // size, so truncation is detected at open, not mid-replay.
-    EXPECT_THROW(TraceReader reader(_path), FatalError);
+    EXPECT_THROW(materializeFile(_path), FatalError);
 }
 
 TEST_F(TraceIoTest, RejectsOverstatedRecordCount)
 {
     // A corrupt/crafted header count must not oversize downstream
     // allocations (count * recordBytes could wrap uint64).
-    SyntheticTraceGenerator gen(profileByName("kernels"), 2);
-    dumpTrace(gen, _path, 10);
+    dumpTrace(*synth("kernels", 2, 10), _path, 10);
     std::fstream f(_path, std::ios::binary | std::ios::in |
                               std::ios::out);
     f.seekp(12); // count field, after magic + version
@@ -165,7 +150,7 @@ TEST_F(TraceIoTest, RejectsOverstatedRecordCount)
         buf[i] = static_cast<char>(huge >> (8 * i));
     f.write(buf, sizeof(buf));
     f.close();
-    EXPECT_THROW(TraceReader reader(_path), FatalError);
+    EXPECT_THROW(materializeFile(_path), FatalError);
 }
 
 TEST_F(TraceIoTest, WriterCountsRecords)
@@ -178,14 +163,12 @@ TEST_F(TraceIoTest, WriterCountsRecords)
         EXPECT_EQ(writer.recordsWritten(), 2u);
         writer.close();
     }
-    TraceReader reader(_path);
-    EXPECT_EQ(reader.recordCount(), 2u);
+    EXPECT_EQ(materializeFile(_path)->records(), 2u);
 }
 
 TEST_F(TraceIoTest, DumpStopsAtSourceEnd)
 {
-    SyntheticTraceGenerator gen(profileByName("kernels"), 3, 50);
-    uint64_t written = dumpTrace(gen, _path, 1000);
+    uint64_t written = dumpTrace(*synth("kernels", 3, 50), _path, 1000);
     EXPECT_EQ(written, 50u);
 }
 
@@ -211,16 +194,12 @@ spew(const std::string &path, const std::vector<uint8_t> &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
-/** Open + read everything; returns records read, -1 on FatalError. */
+/** Load the whole file; returns records read, -1 on FatalError. */
 int64_t
 readAll(const std::string &path)
 {
     try {
-        TraceReader reader(path);
-        int64_t n = 0;
-        while (reader.next())
-            ++n;
-        return n;
+        return static_cast<int64_t>(materializeFile(path)->records());
     } catch (const FatalError &) {
         return -1;
     }
@@ -228,8 +207,7 @@ readAll(const std::string &path)
 
 TEST_F(TraceIoTest, FuzzTruncationAlwaysErrorsCleanly)
 {
-    SyntheticTraceGenerator gen(profileByName("spec2006int"), 11);
-    dumpTrace(gen, _path, 20);
+    dumpTrace(*synth("spec2006int", 11, 20), _path, 20);
     const std::vector<uint8_t> pristine = slurp(_path);
     ASSERT_GT(pristine.size(), 20u);
 
@@ -253,8 +231,7 @@ TEST_F(TraceIoTest, FuzzTruncationAlwaysErrorsCleanly)
 
 TEST_F(TraceIoTest, FuzzBitFlippedHeaderNeverCrashes)
 {
-    SyntheticTraceGenerator gen(profileByName("kernels"), 13);
-    dumpTrace(gen, _path, 16);
+    dumpTrace(*synth("kernels", 13, 16), _path, 16);
     const std::vector<uint8_t> pristine = slurp(_path);
     constexpr size_t kHeaderBytes = 8 + 4 + 8;
     ASSERT_GE(pristine.size(), kHeaderBytes);
@@ -281,8 +258,7 @@ TEST_F(TraceIoTest, FuzzBitFlippedHeaderNeverCrashes)
 
 TEST_F(TraceIoTest, FuzzOversizedRecordCountsAllThrow)
 {
-    SyntheticTraceGenerator gen(profileByName("server"), 17);
-    dumpTrace(gen, _path, 8);
+    dumpTrace(*synth("server", 17, 8), _path, 8);
     const std::vector<uint8_t> pristine = slurp(_path);
 
     const uint64_t counts[] = {
@@ -308,8 +284,7 @@ TEST_F(TraceIoTest, FuzzGarbagePayloadDecodesWithoutCrashing)
     // reader is concerned: any bit pattern must decode into *some*
     // MicroOp without UB (semantic validation is the consumer's
     // job).  PRNG-seeded so a failure reproduces.
-    SyntheticTraceGenerator gen(profileByName("kernels"), 19);
-    dumpTrace(gen, _path, 32);
+    dumpTrace(*synth("kernels", 19, 32), _path, 32);
     std::vector<uint8_t> bytes = slurp(_path);
     constexpr size_t kHeaderBytes = 8 + 4 + 8;
     Pcg32 rng(0xfadedbeefULL);
@@ -317,15 +292,12 @@ TEST_F(TraceIoTest, FuzzGarbagePayloadDecodesWithoutCrashing)
         bytes[i] = static_cast<uint8_t>(rng.next());
     spew(_path, bytes);
 
-    TraceReader reader(_path);
-    EXPECT_EQ(reader.recordCount(), 32u);
-    uint64_t read = 0;
-    while (auto op = reader.next()) {
-        ++read;
-        (void)op->pc;
-        (void)op->opClass;
+    TraceBufferPtr back = materializeFile(_path);
+    ASSERT_EQ(back->records(), 32u);
+    for (uint64_t i = 0; i < back->records(); ++i) {
+        (void)back->at(i).pc;
+        (void)back->at(i).opClass;
     }
-    EXPECT_EQ(read, 32u);
 }
 
 } // namespace

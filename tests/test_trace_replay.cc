@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "core/pipeline.hh"
-#include "trace/generator.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_store.hh"
 
@@ -40,11 +39,11 @@ TEST(TraceReplay, FileAndGeneratorAgreeCycleExactly)
     const trace::WorkloadProfile &profile =
         trace::profileByName("spec2006int");
 
-    trace::SyntheticTraceGenerator gen(profile, 9);
-    trace::dumpTrace(gen, path, insts + 1000);
+    trace::TraceBufferPtr synthetic =
+        trace::materializeSynthetic(profile, 9, insts + 1000);
+    trace::dumpTrace(*synthetic, path, insts + 1000);
 
-    core::PipelineStats live = runTrace(
-        trace::materializeSynthetic(profile, 9, insts + 1000), insts);
+    core::PipelineStats live = runTrace(synthetic, insts);
     core::PipelineStats replay =
         runTrace(trace::materializeFile(path), insts);
 
@@ -61,9 +60,9 @@ TEST(TraceReplay, ShortTraceEndsSimulationGracefully)
 {
     std::string path =
         ::testing::TempDir() + "iraw_replay_short.trc";
-    trace::SyntheticTraceGenerator gen(
-        trace::profileByName("kernels"), 2);
-    trace::dumpTrace(gen, path, 500);
+    trace::dumpTrace(*trace::materializeSynthetic(
+                         trace::profileByName("kernels"), 2, 500),
+                     path, 500);
 
     core::PipelineStats stats =
         runTrace(trace::materializeFile(path), 100000);

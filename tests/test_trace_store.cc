@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/instruction_queue.hh"
 #include "fields_equal.hh"
 #include "sim/runner.hh"
 #include "trace/generator.hh"
@@ -28,6 +29,10 @@ namespace {
 // 1-byte fields placed between the 8-byte ones pad it to 56.
 static_assert(sizeof(isa::MicroOp) == 40,
               "MicroOp is the resident trace format: keep it 40 bytes");
+// An IQ entry points into the resident trace instead of holding a
+// copy of the op.
+static_assert(sizeof(core::IqEntry) == 24,
+              "IqEntry holds a pointer into the trace, not a MicroOp");
 
 TEST(TraceBuffer, ReplayMatchesLiveGenerator)
 {
@@ -40,7 +45,7 @@ TEST(TraceBuffer, ReplayMatchesLiveGenerator)
     ReplayTraceSource replay(buffer);
     for (uint64_t i = 0; i < length; ++i) {
         auto expect = gen.next();
-        auto got = replay.next();
+        const isa::MicroOp *got = replay.take();
         ASSERT_TRUE(expect && got) << "at record " << i;
         EXPECT_EQ(got->seqNum, expect->seqNum);
         EXPECT_EQ(got->pc, expect->pc);
@@ -53,12 +58,7 @@ TEST(TraceBuffer, ReplayMatchesLiveGenerator)
         EXPECT_EQ(got->target, expect->target);
         EXPECT_EQ(got->taken, expect->taken);
     }
-    EXPECT_FALSE(replay.next().has_value());
-
-    replay.reset();
-    auto first = replay.next();
-    ASSERT_TRUE(first);
-    EXPECT_EQ(first->seqNum, 1u);
+    EXPECT_EQ(replay.take(), nullptr);
 }
 
 TEST(TraceStore, HitMissAccounting)
@@ -207,21 +207,18 @@ TEST(TraceStore, AcquireFileServesWholeTrace)
 {
     const WorkloadProfile &profile = profileByName("office");
     const std::string path = ::testing::TempDir() + "iraw_store_input.trc";
-    SyntheticTraceGenerator gen(profile, 11);
-    dumpTrace(gen, path, 3000);
+    dumpTrace(*materializeSynthetic(profile, 11, 3000), path, 3000);
 
     TraceStore store;
     TraceBufferPtr buffer = store.acquireFile(path);
     ASSERT_EQ(buffer->records(), 3000u);
 
-    gen.reset();
-    ReplayTraceSource replay(buffer);
+    SyntheticTraceGenerator gen(profile, 11);
     for (uint64_t i = 0; i < 3000; ++i) {
         auto expect = gen.next();
-        auto got = replay.next();
-        ASSERT_TRUE(expect && got);
-        EXPECT_EQ(got->seqNum, expect->seqNum);
-        EXPECT_EQ(got->pc, expect->pc);
+        ASSERT_TRUE(expect);
+        EXPECT_EQ(buffer->at(i).seqNum, expect->seqNum);
+        EXPECT_EQ(buffer->at(i).pc, expect->pc);
     }
 
     EXPECT_EQ(store.acquireFile(path).get(), buffer.get());
@@ -280,9 +277,9 @@ TEST(TraceStoreSweep, FileTraceSuiteEntryReplays)
 {
     const std::string path =
         ::testing::TempDir() + "iraw_store_suite.trc";
-    trace::SyntheticTraceGenerator gen(
-        trace::profileByName("spec2006int"), 1);
-    trace::dumpTrace(gen, path, 10000);
+    trace::dumpTrace(*trace::materializeSynthetic(
+                         trace::profileByName("spec2006int"), 1, 10000),
+                     path, 10000);
 
     Simulator sim;
     SweepConfig cfg;

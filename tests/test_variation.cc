@@ -161,18 +161,18 @@ TEST(IrawPortGuardTest, PerWriteWindowsRespected)
     EXPECT_FALSE(guard.blocked(16));
     EXPECT_EQ(guard.resolve(12), 16u);
 
-    guard.reset();
-    guard.setStabilizationCycles(2);
-    guard.noteWrite(10); // uniform path
-    EXPECT_TRUE(guard.blocked(12));
-    EXPECT_FALSE(guard.blocked(13));
+    memory::IrawPortGuard uniform("test");
+    uniform.setStabilizationCycles(2);
+    uniform.noteWrite(10); // uniform path
+    EXPECT_TRUE(uniform.blocked(12));
+    EXPECT_FALSE(uniform.blocked(13));
 
     // Disabled guard ignores per-line windows entirely.
-    guard.reset();
-    guard.setStabilizationCycles(0);
-    guard.noteWrite(10, 5);
-    EXPECT_FALSE(guard.blocked(12));
-    EXPECT_EQ(guard.resolve(12), 12u);
+    memory::IrawPortGuard disabled("test");
+    disabled.setStabilizationCycles(0);
+    disabled.noteWrite(10, 5);
+    EXPECT_FALSE(disabled.blocked(12));
+    EXPECT_EQ(disabled.resolve(12), 12u);
 }
 
 TEST(ScoreboardMapTest, PerRegisterStabilization)
