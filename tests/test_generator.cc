@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 
+#include "sim/workload_suite.hh"
 #include "trace/analyzer.hh"
 #include "trace/generator.hh"
+#include "trace/trace_record.hh"
 #include "trace/trace_store.hh"
 
 namespace iraw {
@@ -156,6 +159,68 @@ TEST(Generator, BranchesHavePcCorrelatedBias)
     }
     ASSERT_GT(hotPcs, 2u);
     EXPECT_GT(static_cast<double>(biasedPcs) / hotPcs, 0.5);
+}
+
+/** FNV-1a 64 over the packed file record of every op in @p buffer. */
+uint64_t
+packedDigest(const TraceBuffer &buffer)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    uint8_t rec[kTraceRecordBytes];
+    for (uint64_t i = 0; i < buffer.records(); ++i) {
+        packRecord(buffer.ops()[i], rec);
+        for (uint8_t b : rec) {
+            h ^= b;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+TEST(Generator, SuiteTracesMatchPinnedDigests)
+{
+    // Every op of every default-suite trace, at the length a
+    // 100,000-instruction run replays, is pinned bit for bit: a change
+    // to the generator's static program, its walk or the order and
+    // count of its Pcg32 draws moves at least one digest.
+    struct Pin
+    {
+        const char *workload;
+        uint64_t seed;
+        uint64_t digest;
+    };
+    static const Pin kPins[] = {
+        {"spec2006int", 1, 0xdbb2de0bb47ac0aeULL},
+        {"spec2006int", 2, 0x930084ed675d0933ULL},
+        {"spec2006fp", 1, 0xf570f31e20ae8ab1ULL},
+        {"spec2006fp", 2, 0xa7c17f403f938751ULL},
+        {"spec2000int", 1, 0xfeeeacaa6796682fULL},
+        {"spec2000int", 2, 0xda10f4a85ec0dca3ULL},
+        {"spec2000fp", 1, 0xb0544afe5d8151ccULL},
+        {"spec2000fp", 2, 0x0f68c85ff5dc73aeULL},
+        {"kernels", 1, 0x3a8bf6883dac4bf8ULL},
+        {"kernels", 2, 0x4b58a7350f2bf607ULL},
+        {"multimedia", 1, 0x75168f1bb3b9c851ULL},
+        {"multimedia", 2, 0x4659e3171ccefd69ULL},
+        {"office", 1, 0x10a48d8a6bd39e70ULL},
+        {"office", 2, 0x4ad8b823deaf94b1ULL},
+        {"server", 1, 0x8b01e3ab780096fdULL},
+        {"server", 2, 0xc235435b49e4a708ULL},
+        {"workstation", 1, 0x7702446cb8f7fd4dULL},
+        {"workstation", 2, 0xb2fd001a001c5b38ULL},
+    };
+    const auto suite = sim::defaultSuite(100000, 2);
+    ASSERT_EQ(suite.size(), std::size(kPins));
+    for (size_t i = 0; i < suite.size(); ++i) {
+        const sim::SuiteEntry &entry = suite[i];
+        ASSERT_EQ(entry.workload, kPins[i].workload);
+        ASSERT_EQ(entry.seed, kPins[i].seed);
+        const TraceBufferPtr buffer = materializeSynthetic(
+            profileByName(entry.workload), entry.seed,
+            replayLength(entry.instructions, 32));
+        EXPECT_EQ(packedDigest(*buffer), kPins[i].digest)
+            << entry.workload << " seed " << entry.seed;
+    }
 }
 
 /** Property: every profile streams deterministically and well-formed
