@@ -92,11 +92,6 @@ class ExecUnits
         }
     }
 
-    /** First cycle the unpipelined integer divider is free again. */
-    memory::Cycle intDivFreeAt() const { return _intDivFreeAt; }
-    /** First cycle the unpipelined FP divider is free again. */
-    memory::Cycle fpDivFreeAt() const { return _fpDivFreeAt; }
-
   private:
     const CoreConfig &_cfg;
     uint32_t _aluUsed = 0;

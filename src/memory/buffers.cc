@@ -38,8 +38,8 @@ FillBuffer::readyCycle(uint64_t lineAddr) const
 bool
 FillBuffer::full(Cycle cycle)
 {
-    // Retirement is lazy; drop completed fills first.  Callers that
-    // care about the retired lines use retire() directly.
+    // Retirement is lazy: an entry whose fill completed by @p cycle
+    // is free even before retire() clears it.
     for (const auto &slot : _slots)
         if (!slot.valid || slot.ready <= cycle)
             return false;
@@ -86,23 +86,12 @@ FillBuffer::earliestReady() const
     return earliest;
 }
 
-std::vector<std::pair<uint64_t, Cycle>>
+void
 FillBuffer::retire(Cycle cycle)
 {
-    std::vector<std::pair<uint64_t, Cycle>> done;
-    for (auto &slot : _slots) {
-        if (slot.valid && slot.ready <= cycle) {
-            done.emplace_back(slot.lineAddr, slot.ready);
+    for (auto &slot : _slots)
+        if (slot.valid && slot.ready <= cycle)
             slot.valid = false;
-        }
-    }
-    // Install in completion order so cache/guard state evolves the
-    // way the real machine's fills would.
-    std::sort(done.begin(), done.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second < b.second;
-              });
-    return done;
 }
 
 uint32_t

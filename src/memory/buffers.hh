@@ -51,11 +51,10 @@ class FillBuffer
     Cycle earliestReady() const;
 
     /**
-     * Release entries whose fills completed at or before @p cycle and
-     * return their line addresses (the hierarchy installs them into
-     * the cache and arms the IRAW guard at the fill cycle).
+     * Release entries whose fills completed at or before @p cycle.
+     * The hierarchy installs the lines from its own pending-fill list.
      */
-    std::vector<std::pair<uint64_t, Cycle>> retire(Cycle cycle);
+    void retire(Cycle cycle);
 
     uint32_t occupancy() const;
     uint32_t entries() const { return _capacity; }

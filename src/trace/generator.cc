@@ -13,8 +13,8 @@ using isa::OpClass;
 using isa::RegId;
 
 SyntheticTraceGenerator::SyntheticTraceGenerator(
-    const WorkloadProfile &profile, uint64_t seed, uint64_t maxInsts)
-    : _profile(profile), _maxInsts(maxInsts)
+    const WorkloadProfile &profile, uint64_t seed)
+    : _profile(profile)
 {
     _profile.validate();
     _rng.reseed(seed, 0x1234abcd0000ULL ^ seed);
@@ -140,29 +140,43 @@ SyntheticTraceGenerator::buildStaticProgram()
                 entries[slot.calleeEntry % entries.size()];
     }
 
+    // A body ends at the first Return at or after its entry, which is
+    // not always its own: a later function may have neutralized it.
+    // The redirect pass below leaves every class alone, so each end
+    // is found once (n when no Return follows the entry), and so is
+    // the set of slots some body covers.
+    std::vector<uint32_t> ends;
+    ends.reserve(entries.size());
+    std::vector<bool> inBody(n, false);
+    for (uint32_t entry : entries) {
+        uint32_t j = entry;
+        for (; j < n && _slots[j].cls != OpClass::Return; ++j)
+            inBody[j] = true;
+        if (j < n)
+            inBody[j] = true;
+        ends.push_back(j);
+    }
+
     // Branch targets must not jump into the middle of a function body
     // (the walker would then run into a Return with an empty stack;
     // handled gracefully, but we keep control flow mostly sane by
-    // redirecting such targets to the slot after the Return).
+    // redirecting such targets to the slot after the Return).  A
+    // redirected target is tested against the later bodies in entry
+    // order, so a chain of overlapping bodies moves it repeatedly; a
+    // target outside every body never moves.
     for (auto &slot : _slots) {
-        if (slot.cls != OpClass::Branch)
+        if (slot.cls != OpClass::Branch || !inBody[slot.takenTarget])
             continue;
-        for (uint32_t e = 0; e < entries.size(); ++e) {
-            uint32_t entry = entries[e];
-            // Find the Return terminating this body.
-            uint32_t j = entry;
-            while (j < _slots.size() &&
-                   _slots[j].cls != OpClass::Return)
-                ++j;
-            if (slot.takenTarget >= entry && slot.takenTarget <= j)
-                slot.takenTarget = (j + 1) % _slots.size();
+        for (size_t e = 0; e < entries.size(); ++e) {
+            if (slot.takenTarget >= entries[e] &&
+                slot.takenTarget <= ends[e])
+                slot.takenTarget = (ends[e] + 1) % n;
         }
     }
 }
 
 RegId
-SyntheticTraceGenerator::pickSource(const std::deque<RegId> &recent,
-                                    bool fp)
+SyntheticTraceGenerator::pickSource(const RegHistory &recent, bool fp)
 {
     const uint32_t bankBase = fp ? isa::kNumIntRegs : 0;
     const uint32_t bankSize =
@@ -172,8 +186,7 @@ SyntheticTraceGenerator::pickSource(const std::deque<RegId> &recent,
     }
     // Dependency distance: 1 + Geometric(p) micro-ops back.
     uint32_t d = 1 + _rng.geometric(_profile.depDistGeomP);
-    d = std::min<uint32_t>(d, static_cast<uint32_t>(recent.size()));
-    return recent[recent.size() - d];
+    return recent.recent(std::min(d, recent.size()));
 }
 
 RegId
@@ -216,11 +229,11 @@ SyntheticTraceGenerator::pickMemAddr(StaticSlot &slot)
     return alignDown(addr, slot.accessSize);
 }
 
-MicroOp
-SyntheticTraceGenerator::emitAt(uint32_t pos)
+void
+SyntheticTraceGenerator::emitAt(uint32_t pos, MicroOp &op)
 {
     StaticSlot &slot = _slots[pos];
-    MicroOp op;
+    op = MicroOp{};
     op.seqNum = _emitted + 1;
     op.pc = kCodeBase + static_cast<uint64_t>(pos) * 4;
     // A Return reached by fall-through (no matching call on the
@@ -231,16 +244,6 @@ SyntheticTraceGenerator::emitAt(uint32_t pos)
                      ? OpClass::IntAlu
                      : slot.cls;
 
-    auto pushIntDst = [this](RegId r) {
-        _recentIntDst.push_back(r);
-        if (_recentIntDst.size() > kRecentDepth)
-            _recentIntDst.pop_front();
-    };
-    auto pushFpDst = [this](RegId r) {
-        _recentFpDst.push_back(r);
-        if (_recentFpDst.size() > kRecentDepth)
-            _recentFpDst.pop_front();
-    };
     auto nextIntReg = [this]() {
         RegId r = static_cast<RegId>(_nextIntDst % isa::kNumIntRegs);
         ++_nextIntDst;
@@ -261,7 +264,7 @@ SyntheticTraceGenerator::emitAt(uint32_t pos)
         if (_rng.chance(_profile.secondSrcProb))
             op.src2 = pickIntSource();
         op.dst = nextIntReg();
-        pushIntDst(op.dst);
+        _recentIntDst.push(op.dst);
         break;
 
       case OpClass::FpAdd:
@@ -271,7 +274,7 @@ SyntheticTraceGenerator::emitAt(uint32_t pos)
         if (_rng.chance(_profile.secondSrcProb))
             op.src2 = pickFpSource();
         op.dst = nextFpReg();
-        pushFpDst(op.dst);
+        _recentFpDst.push(op.dst);
         break;
 
       case OpClass::Load: {
@@ -280,11 +283,9 @@ SyntheticTraceGenerator::emitAt(uint32_t pos)
         if (!_recentStoreAddrs.empty() &&
             _rng.chance(_profile.storeForwardProb)) {
             // Spill/reload: read an address stored very recently.
-            size_t idx = _recentStoreAddrs.size() - 1 -
-                         _rng.below(static_cast<uint32_t>(
-                             _recentStoreAddrs.size()));
+            const uint32_t d = 1 + _rng.below(_recentStoreAddrs.size());
             op.memAddr =
-                alignDown(_recentStoreAddrs[idx], slot.accessSize);
+                alignDown(_recentStoreAddrs.recent(d), slot.accessSize);
         } else {
             op.memAddr = pickMemAddr(slot);
         }
@@ -293,10 +294,10 @@ SyntheticTraceGenerator::emitAt(uint32_t pos)
                        _rng.chance(0.3));
         if (fpDest) {
             op.dst = nextFpReg();
-            pushFpDst(op.dst);
+            _recentFpDst.push(op.dst);
         } else {
             op.dst = nextIntReg();
-            pushIntDst(op.dst);
+            _recentIntDst.push(op.dst);
         }
         break;
       }
@@ -306,9 +307,7 @@ SyntheticTraceGenerator::emitAt(uint32_t pos)
         op.src2 = pickIntSource(); // data register
         op.memSize = slot.accessSize;
         op.memAddr = pickMemAddr(slot);
-        _recentStoreAddrs.push_back(op.memAddr);
-        if (_recentStoreAddrs.size() > kRecentStores)
-            _recentStoreAddrs.pop_front();
+        _recentStoreAddrs.push(op.memAddr);
         break;
       }
 
@@ -337,27 +336,22 @@ SyntheticTraceGenerator::emitAt(uint32_t pos)
       default:
         break;
     }
-
-    return op;
 }
 
-std::optional<MicroOp>
-SyntheticTraceGenerator::next()
+void
+SyntheticTraceGenerator::next(MicroOp &op)
 {
-    if (_maxInsts != 0 && _emitted >= _maxInsts)
-        return std::nullopt;
-
-    MicroOp op = emitAt(_pos);
+    emitAt(_pos, op);
 
     // Advance the walker.
-    const uint32_t n = static_cast<uint32_t>(_slots.size());
+    const uint32_t fallThrough = _pos + 1 == _slots.size() ? 0 : _pos + 1;
     switch (op.opClass) {
       case OpClass::Branch:
-        _pos = op.taken ? _slots[_pos].takenTarget : (_pos + 1) % n;
+        _pos = op.taken ? _slots[_pos].takenTarget : fallThrough;
         break;
       case OpClass::Call:
         if (_callStack.size() < kMaxCallDepth) {
-            _callStack.push_back((_pos + 1) % n);
+            _callStack.push_back(fallThrough);
             _pos = _slots[_pos].calleeEntry;
         } else {
             // Deep recursion in the synthetic CFG: treat as a plain
@@ -372,17 +366,16 @@ SyntheticTraceGenerator::next()
         } else {
             // Return reached by fall-through without a matching call
             // (synthetic CFG artifact): continue sequentially.
-            _pos = (_pos + 1) % n;
+            _pos = fallThrough;
         }
         op.target = kCodeBase + static_cast<uint64_t>(_pos) * 4;
         break;
       default:
-        _pos = (_pos + 1) % n;
+        _pos = fallThrough;
         break;
     }
 
     ++_emitted;
-    return op;
 }
 
 } // namespace trace

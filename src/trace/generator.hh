@@ -23,8 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hh"
@@ -34,20 +32,25 @@
 namespace iraw {
 namespace trace {
 
-/** Deterministic synthetic trace source. */
+/**
+ * Deterministic, unbounded synthetic trace source: the constructor
+ * builds the static program, next() walks it.
+ */
 class SyntheticTraceGenerator
 {
   public:
     /**
      * @param profile workload category parameters
      * @param seed RNG seed; (profile, seed) fully determines the trace
-     * @param maxInsts trace length; 0 means unbounded
      */
     SyntheticTraceGenerator(const WorkloadProfile &profile,
-                            uint64_t seed, uint64_t maxInsts = 0);
+                            uint64_t seed);
 
-    /** Next micro-op, or std::nullopt past maxInsts. */
-    std::optional<isa::MicroOp> next();
+    /**
+     * Overwrite @p op with the next micro-op.  Writing in place lets
+     * materializeSynthetic build each op inside its trace buffer.
+     */
+    void next(isa::MicroOp &op);
 
     /** Base virtual address of the synthetic code region. */
     static constexpr uint64_t kCodeBase = 0x0000000000400000ULL;
@@ -55,19 +58,20 @@ class SyntheticTraceGenerator
     static constexpr uint64_t kDataBase = 0x0000000010000000ULL;
 
   private:
-    /** One slot of the synthetic static program. */
+    /** One slot of the synthetic static program; widest fields first,
+     *  so a slot packs into 24 bytes. */
     struct StaticSlot
     {
-        isa::OpClass cls = isa::OpClass::IntAlu;
         // Branch slots.
         double biasTaken = 0.0;
         uint32_t takenTarget = 0;
         // Call slots.
         uint32_t calleeEntry = 0;
         // Memory slots.
-        bool streaming = false;
         uint32_t streamArray = 0; //!< index into the shared array pool
         uint8_t accessSize = 4;
+        bool streaming = false;
+        isa::OpClass cls = isa::OpClass::IntAlu;
     };
 
     /**
@@ -83,17 +87,40 @@ class SyntheticTraceGenerator
         uint32_t pos = 0;    //!< current offset (mutable state)
     };
 
+    /** The last N values pushed; older ones drop out. */
+    template <typename T, uint32_t N>
+    class History
+    {
+      public:
+        bool empty() const { return _pushed == 0; }
+        uint32_t
+        size() const
+        {
+            return _pushed < N ? static_cast<uint32_t>(_pushed) : N;
+        }
+        void push(T v) { _items[_pushed++ % N] = v; }
+        /** The @p d-th most recent value: 1 is the newest, and
+         *  @p d must be in [1, size()]. */
+        T recent(uint32_t d) const { return _items[(_pushed - d) % N]; }
+
+      private:
+        std::array<T, N> _items{};
+        uint64_t _pushed = 0;
+    };
+
+    static constexpr uint32_t kRecentDepth = 64;
+    static constexpr uint32_t kRecentStores = 4;
+    using RegHistory = History<isa::RegId, kRecentDepth>;
+
     void buildStaticProgram();
-    isa::MicroOp emitAt(uint32_t pos);
+    void emitAt(uint32_t pos, isa::MicroOp &op);
 
     isa::RegId pickIntSource();
     isa::RegId pickFpSource();
-    isa::RegId pickSource(const std::deque<isa::RegId> &recent,
-                          bool fp);
+    isa::RegId pickSource(const RegHistory &recent, bool fp);
     uint64_t pickMemAddr(StaticSlot &slot);
 
     WorkloadProfile _profile;
-    uint64_t _maxInsts = 0;
 
     Pcg32 _rng;
     std::vector<StaticSlot> _slots;
@@ -105,14 +132,12 @@ class SyntheticTraceGenerator
     uint64_t _emitted = 0;
     uint32_t _pos = 0;
     std::vector<uint32_t> _callStack;
-    std::deque<isa::RegId> _recentIntDst;
-    std::deque<isa::RegId> _recentFpDst;
-    std::deque<uint64_t> _recentStoreAddrs;
+    RegHistory _recentIntDst;
+    RegHistory _recentFpDst;
+    History<uint64_t, kRecentStores> _recentStoreAddrs;
     uint32_t _nextIntDst = 0;
     uint32_t _nextFpDst = 0;
 
-    static constexpr size_t kRecentDepth = 64;
-    static constexpr size_t kRecentStores = 4;
     static constexpr uint32_t kMaxCallDepth = 64;
 };
 

@@ -40,11 +40,11 @@ materializeSynthetic(const WorkloadProfile &profile, uint64_t seed,
                      uint64_t length)
 {
     fatalIf(length == 0, "materializeSynthetic: zero length");
-    SyntheticTraceGenerator gen(profile, seed, length);
+    SyntheticTraceGenerator gen(profile, seed);
     std::vector<isa::MicroOp> ops;
     ops.reserve(length);
-    while (auto op = gen.next())
-        ops.push_back(*op);
+    for (uint64_t i = 0; i < length; ++i)
+        gen.next(ops.emplace_back());
     return std::make_shared<TraceBuffer>(
         profile.name + "/seed" + std::to_string(seed), std::move(ops));
 }

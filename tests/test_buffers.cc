@@ -18,13 +18,12 @@ TEST(FillBufferTest, AllocateTrackRetire)
     EXPECT_EQ(fb.readyCycle(0x100), 50u);
     EXPECT_EQ(fb.occupancy(), 1u);
 
-    auto done = fb.retire(49);
-    EXPECT_TRUE(done.empty());
-    done = fb.retire(50);
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0].first, 0x100u);
-    EXPECT_EQ(done[0].second, 50u);
+    fb.retire(49);
+    EXPECT_TRUE(fb.contains(0x100));
+    EXPECT_EQ(fb.occupancy(), 1u);
+    fb.retire(50);
     EXPECT_FALSE(fb.contains(0x100));
+    EXPECT_EQ(fb.occupancy(), 0u);
 }
 
 TEST(FillBufferTest, FullnessReflectsInFlightFills)
@@ -48,19 +47,6 @@ TEST(FillBufferTest, FullnessReflectsInFlightFills)
     EXPECT_FALSE(fb.contains(0x200));
     EXPECT_TRUE(fb.contains(0x300));
     EXPECT_EQ(fb.occupancy(), 2u);
-}
-
-TEST(FillBufferTest, RetireOrderedByCompletion)
-{
-    FillBuffer fb("fb", 4);
-    fb.allocate(0x300, 0, 70);
-    fb.allocate(0x100, 0, 50);
-    fb.allocate(0x200, 0, 60);
-    auto done = fb.retire(100);
-    ASSERT_EQ(done.size(), 3u);
-    EXPECT_EQ(done[0].second, 50u);
-    EXPECT_EQ(done[1].second, 60u);
-    EXPECT_EQ(done[2].second, 70u);
 }
 
 TEST(FillBufferTest, DuplicateAllocationPanics)

@@ -43,20 +43,21 @@ TEST(TraceBuffer, ReplayMatchesLiveGenerator)
 
     SyntheticTraceGenerator gen(profile, 7);
     ReplayTraceSource replay(buffer);
+    isa::MicroOp expect;
     for (uint64_t i = 0; i < length; ++i) {
-        auto expect = gen.next();
+        gen.next(expect);
         const isa::MicroOp *got = replay.take();
-        ASSERT_TRUE(expect && got) << "at record " << i;
-        EXPECT_EQ(got->seqNum, expect->seqNum);
-        EXPECT_EQ(got->pc, expect->pc);
-        EXPECT_EQ(got->opClass, expect->opClass);
-        EXPECT_EQ(got->dst, expect->dst);
-        EXPECT_EQ(got->src1, expect->src1);
-        EXPECT_EQ(got->src2, expect->src2);
-        EXPECT_EQ(got->memAddr, expect->memAddr);
-        EXPECT_EQ(got->memSize, expect->memSize);
-        EXPECT_EQ(got->target, expect->target);
-        EXPECT_EQ(got->taken, expect->taken);
+        ASSERT_TRUE(got) << "at record " << i;
+        EXPECT_EQ(got->seqNum, expect.seqNum);
+        EXPECT_EQ(got->pc, expect.pc);
+        EXPECT_EQ(got->opClass, expect.opClass);
+        EXPECT_EQ(got->dst, expect.dst);
+        EXPECT_EQ(got->src1, expect.src1);
+        EXPECT_EQ(got->src2, expect.src2);
+        EXPECT_EQ(got->memAddr, expect.memAddr);
+        EXPECT_EQ(got->memSize, expect.memSize);
+        EXPECT_EQ(got->target, expect.target);
+        EXPECT_EQ(got->taken, expect.taken);
     }
     EXPECT_EQ(replay.take(), nullptr);
 }
@@ -214,11 +215,11 @@ TEST(TraceStore, AcquireFileServesWholeTrace)
     ASSERT_EQ(buffer->records(), 3000u);
 
     SyntheticTraceGenerator gen(profile, 11);
+    isa::MicroOp expect;
     for (uint64_t i = 0; i < 3000; ++i) {
-        auto expect = gen.next();
-        ASSERT_TRUE(expect);
-        EXPECT_EQ(buffer->at(i).seqNum, expect->seqNum);
-        EXPECT_EQ(buffer->at(i).pc, expect->pc);
+        gen.next(expect);
+        EXPECT_EQ(buffer->at(i).seqNum, expect.seqNum);
+        EXPECT_EQ(buffer->at(i).pc, expect.pc);
     }
 
     EXPECT_EQ(store.acquireFile(path).get(), buffer.get());
