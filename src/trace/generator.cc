@@ -143,17 +143,13 @@ SyntheticTraceGenerator::buildStaticProgram()
     // A body ends at the first Return at or after its entry, which is
     // not always its own: a later function may have neutralized it.
     // The redirect pass below leaves every class alone, so each end
-    // is found once (n when no Return follows the entry), and so is
-    // the set of slots some body covers.
+    // is found once (n when no Return follows the entry).
     std::vector<uint32_t> ends;
     ends.reserve(entries.size());
-    std::vector<bool> inBody(n, false);
     for (uint32_t entry : entries) {
         uint32_t j = entry;
-        for (; j < n && _slots[j].cls != OpClass::Return; ++j)
-            inBody[j] = true;
-        if (j < n)
-            inBody[j] = true;
+        while (j < n && _slots[j].cls != OpClass::Return)
+            ++j;
         ends.push_back(j);
     }
 
@@ -162,10 +158,9 @@ SyntheticTraceGenerator::buildStaticProgram()
     // handled gracefully, but we keep control flow mostly sane by
     // redirecting such targets to the slot after the Return).  A
     // redirected target is tested against the later bodies in entry
-    // order, so a chain of overlapping bodies moves it repeatedly; a
-    // target outside every body never moves.
+    // order, so a chain of overlapping bodies moves it repeatedly.
     for (auto &slot : _slots) {
-        if (slot.cls != OpClass::Branch || !inBody[slot.takenTarget])
+        if (slot.cls != OpClass::Branch)
             continue;
         for (size_t e = 0; e < entries.size(); ++e) {
             if (slot.takenTarget >= entries[e] &&

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <iterator>
 #include <map>
 
@@ -43,6 +44,24 @@ TEST(Generator, DifferentSeedsDiffer)
             ++diffs;
     }
     EXPECT_GT(diffs, 0);
+}
+
+TEST(Generator, RespectsMaxInsts)
+{
+    // The generator is unbounded; the buffer length is the bound.  A
+    // buffer holds exactly that many ops, the live stream's prefix.
+    const WorkloadProfile &p = profileByName("kernels");
+    const TraceBufferPtr buffer = materializeSynthetic(p, 1, 100);
+    ASSERT_EQ(buffer->records(), 100u);
+    SyntheticTraceGenerator g(p, 1);
+    isa::MicroOp op;
+    uint8_t want[kTraceRecordBytes], got[kTraceRecordBytes];
+    for (uint64_t i = 0; i < buffer->records(); ++i) {
+        g.next(op);
+        packRecord(op, want);
+        packRecord(buffer->ops()[i], got);
+        EXPECT_EQ(std::memcmp(want, got, sizeof(want)), 0) << "op " << i;
+    }
 }
 
 TEST(Generator, AllOpsWellFormed)
