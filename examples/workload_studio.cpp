@@ -75,9 +75,10 @@ runWorkloadStudio(iraw::sim::ScenarioContext &ctx)
         // materialized this (workload, seed, insts) buffer.
         uint64_t written = dumpTrace(
             *ctx.materializeTrace(names.front(), 1, insts), dump, insts);
+        TraceBufferPtr back = materializeFile(dump);
         ctx.out() << "wrote " << written << " records to " << dump
-                  << "; first record: "
-                  << materializeFile(dump)->at(0).toString() << "\n";
+                  << "; first record: " << back->seqNum(0) << ": "
+                  << back->at(0).toString() << "\n";
     }
 
     // Show a small disassembly excerpt.
@@ -85,7 +86,8 @@ runWorkloadStudio(iraw::sim::ScenarioContext &ctx)
     ctx.out() << "\nfirst 10 micro-ops of " << names.front()
               << ":\n";
     for (uint64_t i = 0; i < 10 && i < head->records(); ++i)
-        ctx.out() << "  " << head->at(i).toString() << "\n";
+        ctx.out() << "  " << head->seqNum(i) << ": "
+                  << head->at(i).toString() << "\n";
     return 0;
 }
 

@@ -16,7 +16,9 @@ OptionMap::parse(int argc, const char *const *argv)
         std::string arg = argv[i];
         auto eq = arg.find('=');
         if (eq == std::string::npos) {
-            opts._values[arg] = "1";
+            // Not `= "1"`: gcc 12 with _GLIBCXX_ASSERTIONS at -O2
+            // reports that assignment as an overlapping memcpy.
+            opts._values.insert_or_assign(arg, "1");
         } else {
             std::string key = arg.substr(0, eq);
             fatalIf(key.empty(), "empty option key in '%s'", arg.c_str());

@@ -17,7 +17,7 @@ using memory::Cycle;
 namespace {
 
 /** What every drain and wrong-path IQ entry points at. */
-const MicroOp kNop = isa::makeNop(0, 0);
+const MicroOp kNop = isa::makeNop(0);
 
 } // namespace
 

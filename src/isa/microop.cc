@@ -9,7 +9,7 @@ std::string
 MicroOp::toString() const
 {
     std::ostringstream os;
-    os << seqNum << ": " << opClassName(opClass);
+    os << opClassName(opClass);
     if (hasDst())
         os << " r" << static_cast<int>(dst) << " <-";
     bool first = true;
@@ -35,6 +35,8 @@ MicroOp::toString() const
 bool
 MicroOp::wellFormed() const
 {
+    if (opClass >= OpClass::NumClasses)
+        return false;
     // Register ids must be valid or the explicit sentinel.
     auto regOk = [](RegId r) {
         return r == kInvalidReg || isValidReg(r);
@@ -67,10 +69,9 @@ MicroOp::wellFormed() const
 }
 
 MicroOp
-makeNop(uint64_t seqNum, uint64_t pc)
+makeNop(uint64_t pc)
 {
     MicroOp op;
-    op.seqNum = seqNum;
     op.pc = pc;
     op.opClass = OpClass::Nop;
     return op;

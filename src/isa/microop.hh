@@ -20,13 +20,15 @@ namespace isa {
 
 /**
  * One dynamic micro-operation.  The 8-byte fields come first and the
- * 1-byte ones after them, so the struct packs into 40 bytes: a trace
- * store keeps every replayed op resident in this form.
+ * 1-byte ones after them, so the struct packs into 32 bytes: a trace
+ * store keeps every replayed op resident in this form.  An op carries
+ * no sequence number; its position in the trace is its identity, and
+ * trace::TraceBuffer::seqNum() derives the number a trace file
+ * records.
  */
 struct MicroOp
 {
-    uint64_t seqNum = 0;  //!< dynamic sequence number (1-based)
-    uint64_t pc = 0;      //!< virtual program counter
+    uint64_t pc = 0; //!< virtual program counter
 
     // Outcomes: memAddr/memSize are valid iff isMemOp(opClass),
     // target/taken iff isControlOp(opClass).
@@ -57,15 +59,25 @@ struct MicroOp
         return (hasSrc1() ? 1u : 0u) + (hasSrc2() ? 1u : 0u);
     }
 
-    /** Textual rendering, e.g. "12: IntAlu r3 <- r1, r2". */
+    /** Textual rendering, e.g. "IntAlu r3 <- r1, r2". */
     std::string toString() const;
 
-    /** Structural validity (operand/outcome fields match the class). */
+    /**
+     * Structural validity: a known op class, and operand/outcome
+     * fields that match it.
+     */
     bool wellFormed() const;
 };
 
+// A trace store keeps each trace resident as records x sizeof(MicroOp),
+// so this size is a sweep's trace memory.  Field order matters: a
+// 1-byte field placed between two 8-byte ones costs 7 bytes of
+// padding.
+static_assert(sizeof(MicroOp) == 32,
+              "MicroOp is the resident trace format: keep it 32 bytes");
+
 /** Convenience factory: a pipeline-drain NOP (Sec. 4.2). */
-MicroOp makeNop(uint64_t seqNum, uint64_t pc);
+MicroOp makeNop(uint64_t pc);
 
 } // namespace isa
 } // namespace iraw

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "common/logging.hh"
 #include "obs/event_tracer.hh"
@@ -18,6 +19,17 @@ SimEngine::validated(const SimConfig &cfg)
             "Simulator: zero instruction budget");
     fatalIf(!circuit::inModelRange(cfg.vcc),
             "Simulator: Vcc %.0f mV outside model range", cfg.vcc);
+    // The run replays warmup + insts ops plus replayLength()'s
+    // in-flight margin; a sum that wraps would run a budget of a few
+    // ops and report NaN ratios.
+    const uint64_t room = std::numeric_limits<uint64_t>::max() -
+                          trace::replayLength(0, cfg.core.iqEntries);
+    fatalIf(cfg.warmupInstructions > room ||
+                cfg.instructions > room - cfg.warmupInstructions,
+            "Simulator: warmup=%llu plus insts=%llu overflows the "
+            "instruction budget",
+            static_cast<unsigned long long>(cfg.warmupInstructions),
+            static_cast<unsigned long long>(cfg.instructions));
     return cfg;
 }
 

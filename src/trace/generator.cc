@@ -229,7 +229,6 @@ SyntheticTraceGenerator::emitAt(uint32_t pos, MicroOp &op)
 {
     StaticSlot &slot = _slots[pos];
     op = MicroOp{};
-    op.seqNum = _emitted + 1;
     op.pc = kCodeBase + static_cast<uint64_t>(pos) * 4;
     // A Return reached by fall-through (no matching call on the
     // stack) executes as plain ALU work: real programs never execute
@@ -369,8 +368,6 @@ SyntheticTraceGenerator::next(MicroOp &op)
         _pos = fallThrough;
         break;
     }
-
-    ++_emitted;
 }
 
 } // namespace trace

@@ -129,7 +129,6 @@ class SyntheticTraceGenerator
     static constexpr uint32_t kNumStreamArrays = 8;
 
     // Dynamic state.
-    uint64_t _emitted = 0;
     uint32_t _pos = 0;
     std::vector<uint32_t> _callStack;
     RegHistory _recentIntDst;

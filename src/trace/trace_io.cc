@@ -34,11 +34,11 @@ TraceWriter::~TraceWriter()
 }
 
 void
-TraceWriter::append(const isa::MicroOp &op)
+TraceWriter::append(uint64_t seqNum, const isa::MicroOp &op)
 {
     panicIf(_closed, "TraceWriter: append after close");
     uint8_t buf[kTraceRecordBytes];
-    packRecord(op, buf);
+    packRecord(seqNum, op, buf);
     _out.write(reinterpret_cast<const char *>(buf), sizeof(buf));
     ++_count;
 }
@@ -64,7 +64,7 @@ dumpTrace(const TraceBuffer &buffer, const std::string &path,
     TraceWriter writer(path);
     const uint64_t n = std::min(maxRecords, buffer.records());
     for (uint64_t i = 0; i < n; ++i)
-        writer.append(buffer.ops()[i]);
+        writer.append(buffer.seqNum(i), buffer.ops()[i]);
     writer.close();
     return writer.recordsWritten();
 }

@@ -45,8 +45,8 @@ class TraceWriter
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
 
-    /** Append one record. */
-    void append(const isa::MicroOp &op);
+    /** Append @p op as a record numbered @p seqNum. */
+    void append(uint64_t seqNum, const isa::MicroOp &op);
 
     /** Finalize the header (record count) and close the file. */
     void close();
@@ -62,8 +62,9 @@ class TraceWriter
 
 /**
  * Write the first @p maxRecords micro-ops of @p buffer (all of them
- * if it holds fewer) to a trace file; returns records written.
- * trace::materializeFile reads the file back.
+ * if it holds fewer), each with its TraceBuffer::seqNum(), to a trace
+ * file; returns records written.  trace::materializeFile reads the
+ * file back.
  */
 uint64_t dumpTrace(const TraceBuffer &buffer, const std::string &path,
                    uint64_t maxRecords);

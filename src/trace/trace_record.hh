@@ -4,7 +4,9 @@
  * encoding of one micro-op in a binary trace file (trace_io).
  * Everything is little-endian so dumped traces are portable across
  * hosts.  It is the file format only: the in-memory trace store holds
- * decoded isa::MicroOp values.
+ * decoded isa::MicroOp values, which carry no sequence number, so the
+ * caller supplies the record's number on write and receives it on
+ * read.
  */
 
 #ifndef IRAW_TRACE_TRACE_RECORD_HH
@@ -53,11 +55,14 @@ getLe64(const uint8_t *buf)
     return v;
 }
 
-/** Serialize one micro-op into @p buf (kTraceRecordBytes bytes). */
+/**
+ * Serialize micro-op @p op with sequence number @p seqNum into @p buf
+ * (kTraceRecordBytes bytes).
+ */
 inline void
-packRecord(const isa::MicroOp &op, uint8_t *buf)
+packRecord(uint64_t seqNum, const isa::MicroOp &op, uint8_t *buf)
 {
-    putLe64(buf + 0, op.seqNum);
+    putLe64(buf + 0, seqNum);
     putLe64(buf + 8, op.pc);
     putLe64(buf + 16, op.memAddr);
     putLe64(buf + 24, op.target);
@@ -69,11 +74,13 @@ packRecord(const isa::MicroOp &op, uint8_t *buf)
     buf[37] = op.taken ? 1 : 0; // flags, bit 0: taken
 }
 
-/** Deserialize one micro-op from @p buf (kTraceRecordBytes bytes). */
-inline void
+/**
+ * Deserialize one micro-op from @p buf (kTraceRecordBytes bytes) into
+ * @p op; returns the record's sequence number.
+ */
+inline uint64_t
 unpackRecord(const uint8_t *buf, isa::MicroOp &op)
 {
-    op.seqNum = getLe64(buf + 0);
     op.pc = getLe64(buf + 8);
     op.memAddr = getLe64(buf + 16);
     op.target = getLe64(buf + 24);
@@ -83,6 +90,7 @@ unpackRecord(const uint8_t *buf, isa::MicroOp &op)
     op.src2 = buf[35];
     op.memSize = buf[36];
     op.taken = (buf[37] & 1) != 0;
+    return getLe64(buf + 0);
 }
 
 } // namespace trace

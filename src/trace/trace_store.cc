@@ -1,7 +1,10 @@
 #include "trace/trace_store.hh"
 
+#include <unistd.h>
+
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.hh"
@@ -13,9 +16,14 @@
 namespace iraw {
 namespace trace {
 
-TraceBuffer::TraceBuffer(std::string name, std::vector<isa::MicroOp> ops)
-    : _name(std::move(name)), _ops(std::move(ops))
+TraceBuffer::TraceBuffer(std::string name, std::vector<isa::MicroOp> ops,
+                         std::vector<uint64_t> seqNums)
+    : _name(std::move(name)), _ops(std::move(ops)),
+      _seqNums(std::move(seqNums))
 {
+    panicIf(!_seqNums.empty() && _seqNums.size() != _ops.size(),
+            "TraceBuffer '%s': %zu sequence numbers for %zu ops",
+            _name.c_str(), _seqNums.size(), _ops.size());
 }
 
 const isa::MicroOp &
@@ -40,6 +48,23 @@ materializeSynthetic(const WorkloadProfile &profile, uint64_t seed,
                      uint64_t length)
 {
     fatalIf(length == 0, "materializeSynthetic: zero length");
+    // A buffer the host cannot hold would fail in the reserve below,
+    // or, under an overcommitting kernel, page the host to death while
+    // it fills; refuse it while nothing is allocated.  sysconf reports
+    // -1 when it cannot tell, and then nothing is refused.
+    const long pages = sysconf(_SC_PHYS_PAGES);
+    const long pageBytes = sysconf(_SC_PAGE_SIZE);
+    fatalIf(pages > 0 && pageBytes > 0 &&
+                length > static_cast<uint64_t>(pages) *
+                             (static_cast<uint64_t>(pageBytes) /
+                              sizeof(isa::MicroOp)),
+            "materializeSynthetic: %llu micro-ops of %s do not fit in "
+            "this host's %llu MiB of physical memory; lower "
+            "insts=/warmup=",
+            static_cast<unsigned long long>(length),
+            profile.name.c_str(),
+            static_cast<unsigned long long>(pages) *
+                static_cast<unsigned long long>(pageBytes) >> 20);
     SyntheticTraceGenerator gen(profile, seed);
     std::vector<isa::MicroOp> ops;
     ops.reserve(length);
@@ -89,18 +114,41 @@ materializeFile(const std::string &path)
             static_cast<unsigned long long>(available));
 
     std::vector<isa::MicroOp> ops(total);
+    // Stays empty while the file numbers its records 1..n, the numbers
+    // a TraceBuffer derives; the first other number keeps them all, so
+    // a sliced or merged trace re-dumps verbatim.
+    std::vector<uint64_t> seqNums;
     for (uint64_t i = 0; i < total; ++i) {
         uint8_t buf[kTraceRecordBytes];
         in.read(reinterpret_cast<char *>(buf), sizeof(buf));
         fatalIf(!in, "TraceReader: '%s' truncated at record %llu",
                 path.c_str(), static_cast<unsigned long long>(i));
-        // The record carries the source's sequence number;
-        // synthesizing one here would make replays diverge from the
-        // dumped stream.
-        unpackRecord(buf, ops[i]);
+        const uint64_t seq = unpackRecord(buf, ops[i]);
+        // No consumer re-checks an op: an unknown class or register
+        // would index past the pipeline's tables.
+        const isa::MicroOp &op = ops[i];
+        if (!op.wellFormed())
+            fatal("TraceReader: '%s' record %llu (seqNum %llu) is "
+                  "malformed: class %u, dst %u, src %u/%u, %u-byte "
+                  "access at 0x%llx, taken %u",
+                  path.c_str(), static_cast<unsigned long long>(i),
+                  static_cast<unsigned long long>(seq),
+                  static_cast<unsigned>(op.opClass),
+                  static_cast<unsigned>(op.dst),
+                  static_cast<unsigned>(op.src1),
+                  static_cast<unsigned>(op.src2),
+                  static_cast<unsigned>(op.memSize),
+                  static_cast<unsigned long long>(op.memAddr),
+                  static_cast<unsigned>(op.taken));
+        if (seq != i + 1 && seqNums.empty()) {
+            seqNums.resize(total);
+            std::iota(seqNums.begin(), seqNums.begin() + i, 1);
+        }
+        if (!seqNums.empty())
+            seqNums[i] = seq;
     }
-    return std::make_shared<TraceBuffer>("file:" + path,
-                                         std::move(ops));
+    return std::make_shared<TraceBuffer>(
+        "file:" + path, std::move(ops), std::move(seqNums));
 }
 
 TraceStore::TraceStore() : TraceStore(Config()) {}

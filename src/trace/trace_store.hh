@@ -13,10 +13,9 @@
  *  - generation is once-per-key and thread-safe: the first worker to
  *    request a key materializes it, later workers block only until
  *    that first materialization finishes;
- *  - the resident footprint (records x sizeof(isa::MicroOp)) is
- *    bounded by an LRU byte cap (evicted buffers stay alive for
- *    workers still holding them — eviction only drops the store's
- *    reference);
+ *  - the resident footprint (TraceBuffer::bytes()) is bounded by an
+ *    LRU byte cap (evicted buffers stay alive for workers still
+ *    holding them — eviction only drops the store's reference);
  *  - trace files load whole into the same buffers, so every
  *    simulation replays a resident trace, synthetic or not.
  */
@@ -50,20 +49,42 @@ namespace trace {
  * once and shared by every cursor over it.  The 38-byte packed record
  * (trace/trace_record.hh) is the file format only; in memory each op
  * costs sizeof(isa::MicroOp).
+ *
+ * Record i's sequence number is i + 1, derived rather than stored.
+ * Only a trace file whose records are not numbered 1..n keeps its
+ * numbers, in a side array counted in bytes(), so a dumped file
+ * re-dumps verbatim.
  */
 class TraceBuffer
 {
   public:
-    TraceBuffer(std::string name, std::vector<isa::MicroOp> ops);
+    /**
+     * @param seqNums empty for a trace numbered 1..n, otherwise one
+     *        number per op
+     */
+    TraceBuffer(std::string name, std::vector<isa::MicroOp> ops,
+                std::vector<uint64_t> seqNums = {});
 
     /** Record count. */
     uint64_t records() const { return _ops.size(); }
     /** Resident footprint in bytes: what the store's byte cap bounds. */
-    uint64_t bytes() const { return _ops.size() * sizeof(isa::MicroOp); }
+    uint64_t
+    bytes() const
+    {
+        return _ops.size() * sizeof(isa::MicroOp) +
+               _seqNums.size() * sizeof(uint64_t);
+    }
     const std::string &name() const { return _name; }
 
     /** Record @p index (must be < records()). */
     const isa::MicroOp &at(uint64_t index) const;
+
+    /** Sequence number of record @p index (must be < records()). */
+    uint64_t
+    seqNum(uint64_t index) const
+    {
+        return _seqNums.empty() ? index + 1 : _seqNums[index];
+    }
 
     /** The micro-ops; the array is stable for the buffer's lifetime. */
     const isa::MicroOp *ops() const { return _ops.data(); }
@@ -71,6 +92,7 @@ class TraceBuffer
   private:
     std::string _name;
     std::vector<isa::MicroOp> _ops;
+    std::vector<uint64_t> _seqNums; //!< empty when numbered 1..n
 };
 
 using TraceBufferPtr = std::shared_ptr<const TraceBuffer>;
@@ -118,14 +140,19 @@ replayLength(uint64_t instBudget, uint32_t iqEntries)
     return instBudget + iqEntries + 64;
 }
 
-/** Materialize @p length micro-ops of the synthetic generator. */
+/**
+ * Materialize @p length micro-ops of the synthetic generator.  A
+ * buffer larger than the host's physical memory is a FatalError,
+ * raised before anything is allocated.
+ */
 TraceBufferPtr materializeSynthetic(const WorkloadProfile &profile,
                                     uint64_t seed, uint64_t length);
 
 /**
  * Load a whole binary trace file (trace/trace_io.hh) into a buffer.
  * A missing file, a bad magic or version, a header that claims more
- * records than the file holds, or a short read is a FatalError.
+ * records than the file holds, a short read, or a record that is not
+ * isa::MicroOp::wellFormed() is a FatalError.
  */
 TraceBufferPtr materializeFile(const std::string &path);
 

@@ -22,7 +22,6 @@ isa::MicroOp
 alu(uint64_t seq, isa::RegId dst, isa::RegId src)
 {
     isa::MicroOp op;
-    op.seqNum = seq;
     op.pc = 0x400000 + seq * 4;
     op.opClass = isa::OpClass::IntAlu;
     op.dst = dst;
@@ -37,7 +36,6 @@ TEST(Analyzer, CountsClassesAndDistances)
     ops.push_back(alu(2, 2, 1)); // distance 1
     ops.push_back(alu(3, 3, 1)); // distance 2
     isa::MicroOp ld;
-    ld.seqNum = 4;
     ld.pc = 0x400010;
     ld.opClass = isa::OpClass::Load;
     ld.src1 = 2;
@@ -66,7 +64,6 @@ TEST(Analyzer, BranchAccounting)
     std::vector<isa::MicroOp> ops;
     for (int i = 0; i < 4; ++i) {
         isa::MicroOp br;
-        br.seqNum = static_cast<uint64_t>(i + 1);
         br.pc = 0x400000;
         br.opClass = isa::OpClass::Branch;
         br.src1 = 1;

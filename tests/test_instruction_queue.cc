@@ -12,14 +12,14 @@ namespace iraw {
 namespace core {
 namespace {
 
-/** Micro-ops 1..n, which IQ entries point at. */
+/** @p n micro-ops, which IQ entries point at. */
 std::vector<isa::MicroOp>
 nops(uint64_t n)
 {
     std::vector<isa::MicroOp> ops;
     ops.reserve(n);
-    for (uint64_t seq = 1; seq <= n; ++seq)
-        ops.push_back(isa::makeNop(seq, 0x1000 + seq * 4));
+    for (uint64_t i = 0; i < n; ++i)
+        ops.push_back(isa::makeNop(0x1000 + i * 4));
     return ops;
 }
 
@@ -37,10 +37,10 @@ TEST(IqTest, FifoOrder)
     for (const isa::MicroOp &op : ops)
         push(iq, op);
     EXPECT_EQ(iq.occupancy(), 3u);
-    EXPECT_EQ(iq.at(0).op->seqNum, 1u);
-    EXPECT_EQ(iq.at(2).op->seqNum, 3u);
+    EXPECT_EQ(iq.at(0).op, &ops[0]);
+    EXPECT_EQ(iq.at(2).op, &ops[2]);
     iq.popFront();
-    EXPECT_EQ(iq.at(0).op->seqNum, 2u);
+    EXPECT_EQ(iq.at(0).op, &ops[1]);
 }
 
 TEST(IqTest, FullAndEmpty)
@@ -66,7 +66,7 @@ TEST(IqTest, PopBackSquashesYoungest)
         push(iq, op);
     iq.popBack();
     EXPECT_EQ(iq.occupancy(), 2u);
-    EXPECT_EQ(iq.at(1).op->seqNum, 2u);
+    EXPECT_EQ(iq.at(1).op, &ops[1]);
 }
 
 TEST(IqTest, PointersMatchFigure9Occupancy)
@@ -75,7 +75,7 @@ TEST(IqTest, PointersMatchFigure9Occupancy)
     mechanism::IqOccupancyGate gate(32, 2, 2);
     // Random-ish workload of allocations and pops; the hardware
     // occupancy (from pointers) must always equal the software one.
-    const isa::MicroOp nop = isa::makeNop(1, 0x1000);
+    const isa::MicroOp nop = isa::makeNop(0x1000);
     auto check = [&]() {
         EXPECT_EQ(gate.occupancyFromPointers(iq.headPointer(),
                                              iq.tailPointer()),
@@ -101,7 +101,7 @@ TEST(IqTest, PointerWraparound)
 {
     InstructionQueue iq(4);
     mechanism::IqOccupancyGate gate(4, 1, 1);
-    const isa::MicroOp nop = isa::makeNop(1, 0x1000);
+    const isa::MicroOp nop = isa::makeNop(0x1000);
     // Push/pop far past the pointer modulus.
     for (int i = 0; i < 50; ++i) {
         push(iq, nop);
@@ -117,7 +117,7 @@ TEST(IqTest, PointerWraparound)
 TEST(IqTest, ClearResets)
 {
     InstructionQueue iq(8);
-    const isa::MicroOp nop = isa::makeNop(1, 0x1000);
+    const isa::MicroOp nop = isa::makeNop(0x1000);
     push(iq, nop);
     iq.clear();
     EXPECT_TRUE(iq.empty());

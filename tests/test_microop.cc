@@ -12,7 +12,6 @@ MicroOp
 aluOp()
 {
     MicroOp op;
-    op.seqNum = 1;
     op.pc = 0x400000;
     op.opClass = OpClass::IntAlu;
     op.dst = 3;
@@ -41,6 +40,15 @@ TEST(MicroOpTest, Src2WithoutSrc1IsMalformed)
 {
     MicroOp op = aluOp();
     op.src1 = kInvalidReg;
+    EXPECT_FALSE(op.wellFormed());
+}
+
+TEST(MicroOpTest, UnknownClassIsMalformed)
+{
+    MicroOp op = aluOp();
+    op.opClass = OpClass::NumClasses;
+    EXPECT_FALSE(op.wellFormed());
+    op.opClass = static_cast<OpClass>(200);
     EXPECT_FALSE(op.wellFormed());
 }
 
@@ -95,10 +103,10 @@ TEST(MicroOpTest, TakenNonBranchMalformed)
 
 TEST(MicroOpTest, NopFactory)
 {
-    MicroOp nop = makeNop(7, 0x1234);
+    MicroOp nop = makeNop(0x1234);
     EXPECT_TRUE(nop.isNop());
     EXPECT_TRUE(nop.wellFormed());
-    EXPECT_EQ(nop.seqNum, 7u);
+    EXPECT_EQ(nop.pc, 0x1234u);
     EXPECT_FALSE(nop.hasDst());
 }
 

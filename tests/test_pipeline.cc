@@ -73,7 +73,6 @@ isa::MicroOp
 regOp(uint64_t seq, isa::OpClass cls, isa::RegId dst, isa::RegId src1)
 {
     isa::MicroOp op;
-    op.seqNum = seq;
     op.pc = 0x1000 + 4 * (seq - 1);
     op.opClass = cls;
     op.dst = dst;

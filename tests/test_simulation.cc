@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 #include "sim/simulation.hh"
@@ -116,6 +117,40 @@ TEST(Simulation, InvalidConfigsRejected)
     EXPECT_THROW(s.run(cfg), FatalError);
     cfg.vcc = 500;
     cfg.workload = "unknown-workload";
+    EXPECT_THROW(s.run(cfg), FatalError);
+}
+
+TEST(Simulation, WrappingWarmupBudgetIsFatal)
+{
+    // warmup + insts would wrap to 9: a few-op run reporting NaN.
+    Simulator s;
+    SimConfig cfg;
+    cfg.instructions = 10;
+    cfg.warmupInstructions = std::numeric_limits<uint64_t>::max();
+    EXPECT_THROW(s.run(cfg), FatalError);
+}
+
+TEST(Simulation, WrappingInstructionBudgetIsFatal)
+{
+    Simulator s;
+    SimConfig cfg;
+    cfg.vcc = 500;
+    cfg.instructions = std::numeric_limits<uint64_t>::max();
+    EXPECT_THROW(s.run(cfg), FatalError);
+    // The budget must leave room for the replay margin too.
+    cfg.instructions = std::numeric_limits<uint64_t>::max() -
+                       cfg.warmupInstructions - 1;
+    EXPECT_THROW(s.run(cfg), FatalError);
+}
+
+TEST(Simulation, BudgetBeyondPhysicalMemoryIsFatal)
+{
+    // 10^12 ops is 32 TB of trace: refused before any allocation, so
+    // the outcome does not depend on the kernel's overcommit policy.
+    Simulator s;
+    SimConfig cfg;
+    cfg.vcc = 500;
+    cfg.instructions = 1000000000000ULL;
     EXPECT_THROW(s.run(cfg), FatalError);
 }
 
