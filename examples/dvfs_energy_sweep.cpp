@@ -111,5 +111,5 @@ runDvfs(iraw::sim::ScenarioContext &ctx)
 
 IRAW_SCENARIO("dvfs_energy_sweep",
               "DVFS explorer: best energy/EDP operating points for "
-              "the IRAW machine",
+              "the IRAW machine (workload=, perf_floor=)",
               runDvfs);

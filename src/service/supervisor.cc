@@ -98,9 +98,9 @@ constexpr int kExitSpoolError = 3;
 struct ShardScan
 {
     bool headerOk = false;
-    /** Records after the header that decode as the shard's items,
-     *  in order. */
-    uint64_t items = 0;
+    /** The decoded records after the header that carry the shard's
+     *  items, in order. */
+    std::vector<sim::SimResult> items;
     /** End of the usable prefix: the header and those items. */
     uint64_t validBytes = 0;
     /** Bytes beyond the usable prefix: a torn frame, or a CRC-valid
@@ -108,6 +108,13 @@ struct ShardScan
      *  the shard's last item. */
     bool torn = false;
     bool exists = false;
+
+    /** Every item of @p shard and nothing after: a spool to merge. */
+    bool
+    complete(const Shard &shard) const
+    {
+        return headerOk && !torn && items.size() == shard.indices.size();
+    }
 };
 
 ShardScan
@@ -129,21 +136,21 @@ scanShardSpool(const std::string &path, const Shard &shard)
         return out;
     out.headerOk = true;
 
-    // Count the prefix of records that decode and carry the shard's
+    // Keep the prefix of records that decode and carry the shard's
     // items in order; a bad record invalidates itself and everything
     // after it (order is the checkpoint).
     sim::SimResult r;
     uint64_t index = 0;
-    while (out.items < shard.indices.size() &&
-           out.items + 1 < scan.payloads.size() &&
-           decodeResult(scan.payloads[out.items + 1], index, r) &&
-           index == shard.indices[out.items])
-        ++out.items;
+    while (out.items.size() < shard.indices.size() &&
+           out.items.size() + 1 < scan.payloads.size() &&
+           decodeResult(scan.payloads[out.items.size() + 1], index, r) &&
+           index == shard.indices[out.items.size()])
+        out.items.push_back(std::move(r));
     // Only that prefix is usable: a resumed part file is cut back to
     // it before the worker appends, and a done file with anything
     // after it is not reused.
-    out.validBytes = scan.frameEnds[out.items];
-    out.torn = scan.torn || out.items + 1 < scan.payloads.size();
+    out.validBytes = scan.frameEnds[out.items.size()];
+    out.torn = scan.torn || out.items.size() + 1 < scan.payloads.size();
     return out;
 }
 
@@ -307,11 +314,10 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
 
         if (cfg.resume) {
             ShardScan dscan = scanShardSpool(full, shard);
-            if (dscan.headerOk && !dscan.torn &&
-                dscan.items == shard.indices.size()) {
+            if (dscan.complete(shard)) {
                 done[s] = true;
                 ++stats.shardsReused;
-                stats.recordsResumed += dscan.items;
+                stats.recordsResumed += dscan.items.size();
                 if (meter)
                     meter->add();
                 continue;
@@ -366,7 +372,7 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
             ++stats.tornTails;
             fs::resize_file(part, pscan.validBytes);
         }
-        uint64_t skip = pscan.headerOk ? pscan.items : 0;
+        uint64_t skip = pscan.headerOk ? pscan.items.size() : 0;
         if (!pscan.headerOk && pscan.exists)
             fs::remove(part);
         if (skip > credited[job.shardIdx]) {
@@ -539,39 +545,25 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
         if (!done[s])
             continue;
         const Shard &shard = manifest.shards[s];
-        SpoolScan scan =
-            scanSpoolFile(donePath(cfg.spoolDir, shard));
-        bool valid = !scan.torn && !scan.payloads.empty();
-        std::string stem;
-        uint64_t items = 0;
-        valid = valid &&
-                decodeShardHeader(scan.payloads[0], stem, items) &&
-                stem == shard.stem && items == shard.indices.size() &&
-                scan.payloads.size() == shard.indices.size() + 1;
-        uint64_t index = 0;
-        for (size_t i = 1; valid && i < scan.payloads.size(); ++i) {
-            sim::SimResult r;
-            if (!decodeResult(scan.payloads[i], index, r) ||
-                index != shard.indices[i - 1]) {
-                valid = false;
-                break;
-            }
-            // The config is re-attached locally, not transported:
-            // the manifest fingerprint guarantees it matches.
-            r.config = configs[index];
-            results[index] = std::move(r);
-            ++stats.records;
-        }
-        if (!valid) {
+        ShardScan scan =
+            scanShardSpool(donePath(cfg.spoolDir, shard), shard);
+        if (!scan.complete(shard)) {
             ++stats.badRecords;
             ++stats.shardsFailed;
             stats.failedShards.push_back(shard.stem);
             warn("service: completed spool for shard %s failed "
                  "validation; its points stay zeroed",
                  shard.stem.c_str());
-            for (size_t idx : shard.indices)
-                results[idx] = sim::SimResult();
+            continue;
         }
+        for (size_t j = 0; j < scan.items.size(); ++j) {
+            const size_t index = shard.indices[j];
+            // The config is re-attached locally, not transported:
+            // the manifest fingerprint guarantees it matches.
+            scan.items[j].config = configs[index];
+            results[index] = std::move(scan.items[j]);
+        }
+        stats.records += scan.items.size();
     }
 
     if (tracer)

@@ -1,13 +1,15 @@
 #include "sim/runner.hh"
 
 #include <algorithm>
-#include <future>
+#include <atomic>
+#include <exception>
 #include <map>
 #include <sstream>
+#include <system_error>
+#include <thread>
 #include <tuple>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "obs/telemetry.hh"
 #include "service/supervisor.hh"
 
@@ -17,8 +19,9 @@ namespace sim {
 unsigned
 SweepRunner::effectiveThreads() const
 {
-    return _cfg.threads == 0 ? ThreadPool::defaultThreads()
-                             : _cfg.threads;
+    if (_cfg.threads != 0)
+        return _cfg.threads;
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 MachineAtVcc
@@ -116,12 +119,6 @@ SweepRunner::runLocal(const std::vector<SimConfig> &configs) const
     // One chunk is one work item running its configs in order;
     // results land at their input index, so execution order (and
     // thread count) never shows.
-    //
-    // Sharing contract (TSan-checked by the threaded tests): workers
-    // share `results` without a lock, but every chunk owns a
-    // disjoint set of indices, `results` is never resized while
-    // workers run, and the futures' get() below is the
-    // happens-before edge that publishes all slots to this thread.
     auto runChunk = [&](const std::vector<size_t> &chunk) {
         const uint64_t startUs = tracer ? tracer->nowUs() : 0;
         for (size_t i : chunk) {
@@ -145,26 +142,53 @@ SweepRunner::runLocal(const std::vector<SimConfig> &configs) const
             meter->add(chunk.size());
     };
 
-    // More workers than work items would only cost thread churn.
-    unsigned threads =
-        std::min<uint64_t>(effectiveThreads(), chunks.size());
-    if (threads <= 1 || chunks.size() <= 1) {
-        for (const std::vector<size_t> &chunk : chunks)
-            runChunk(chunk);
-        return results;
+    // The caller and up to threads - 1 helpers claim chunks in index
+    // order until none is left or one has failed.  A claimed chunk
+    // always runs, so a failure stops only later claims; its
+    // exception waits in the chunk's own slot.  With one thread or
+    // at most one chunk no thread starts.
+    //
+    // Sharing contract (TSan-checked by the threaded tests): workers
+    // share `results` and `errors` without a lock, but every chunk
+    // owns a disjoint set of slots, neither vector is resized while
+    // workers run, and the joins are the happens-before edge that
+    // publishes every slot to this thread.
+    std::vector<std::exception_ptr> errors(chunks.size());
+    std::atomic<size_t> nextChunk{0};
+    std::atomic<bool> failed{false};
+    auto claimChunks = [&] {
+        while (!failed.load()) {
+            const size_t c = nextChunk++;
+            if (c >= chunks.size())
+                return;
+            try {
+                runChunk(chunks[c]);
+            } catch (...) {
+                errors[c] = std::current_exception();
+                failed = true;
+            }
+        }
+    };
+    const size_t threads =
+        std::min<size_t>(effectiveThreads(), chunks.size());
+    std::vector<std::thread> helpers;
+    try {
+        for (size_t t = 1; t < threads; ++t)
+            helpers.emplace_back(claimChunks);
+    } catch (const std::system_error &) {
+        // A helper the host cannot start only slows the wave: the
+        // started ones must still be joined, and the caller claims
+        // whatever they leave.
     }
+    claimChunks();
+    for (std::thread &helper : helpers)
+        helper.join();
 
-    ThreadPool pool(threads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(chunks.size());
-    for (const std::vector<size_t> &chunk : chunks)
-        futures.push_back(pool.submit([&runChunk, &chunk] {
-            runChunk(chunk);
-        }));
-    // Collect in submission order; any worker exception rethrows
-    // here, on the caller's thread.
-    for (std::future<void> &f : futures)
-        f.get();
+    // Every chunk below the lowest failure was claimed before it and
+    // ran, so this is the error a serial run raises.
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
     return results;
 }
 

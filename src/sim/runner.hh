@@ -1,9 +1,10 @@
 /**
  * @file
  * Parallel experiment runner: decomposes a Vcc sweep into independent
- * (Vcc, trace, machine-config) simulations, schedules them over a
- * worker pool in trace-grouped chunks, and merges the per-trace
- * results with a deterministic, fixed-order reduction.
+ * (Vcc, trace, machine-config) simulations, runs them in
+ * trace-grouped chunks on the calling thread and up to threads - 1
+ * helper threads, and merges the per-trace results with a
+ * deterministic, fixed-order reduction.
  *
  * Scheduling layers, from the outside in:
  *
@@ -21,9 +22,10 @@
  *  2. Trace-grouped chunking (runConfigs): simulations are grouped by
  *     trace identity (workload, trace path, seed, budget) and each
  *     group is cut into chunks of RunnerConfig::chunkSize configs.
- *     One chunk is one work item for the thread pool; it runs its
- *     configs in order, each through Simulator::run, replaying the
- *     trace store's one decoded buffer.
+ *     One chunk is one work item: a thread claims the next chunk
+ *     index and runs its configs in order, each through
+ *     Simulator::run, replaying the trace store's one decoded
+ *     buffer.
  *
  * Determinism: every simulation is an independent Simulator::run,
  * results are written back by input index and the reduction always
@@ -63,12 +65,13 @@ struct RunnerConfig
           service(std::move(session))
     {}
 
-    /** Worker threads; 0 means "one per hardware thread". */
+    /** Threads running chunks, the caller's included; 0 means "one
+     *  per hardware thread". */
     unsigned threads = 1;
 
     /**
      * Configs per work item: the most simulations of one trace a
-     * thread-pool task (or a service shard) runs back to back.
+     * chunk (or a service shard) runs back to back.
      * Results are bitwise identical at every setting.
      */
     unsigned chunkSize = 8;
@@ -76,8 +79,8 @@ struct RunnerConfig
     /**
      * Sharded service mode (scenario option workers=): when set,
      * runConfigs delegates execution to the fault-tolerant
-     * multi-process supervisor (src/service/) instead of the
-     * in-process thread pool.  Simulated results are bitwise
+     * multi-process supervisor (src/service/) instead of running
+     * in-process threads.  Simulated results are bitwise
      * identical either way (determinism invariant 8).
      */
     std::shared_ptr<service::ServiceSession> service;
@@ -119,8 +122,8 @@ struct MachinePoint
 };
 
 /**
- * Runs Vcc sweeps across a thread pool.  Rows are bitwise identical
- * at every thread count.
+ * Runs Vcc sweeps on up to RunnerConfig::threads threads.  Rows are
+ * bitwise identical at every thread count.
  */
 class SweepRunner
 {
@@ -129,7 +132,7 @@ class SweepRunner
         : _sim(sim), _cfg(cfg)
     {}
 
-    /** Effective worker count after resolving threads=0. */
+    /** Effective thread count after resolving threads=0. */
     unsigned effectiveThreads() const;
 
     /** Effective configs per work item after clamping 0 to 1. */
@@ -182,7 +185,7 @@ class SweepRunner
                               const std::vector<SimResult> &results);
 
   private:
-    /** The in-process (thread pool) execution path of runConfigs. */
+    /** The in-process execution path of runConfigs. */
     std::vector<SimResult>
     runLocal(const std::vector<SimConfig> &configs) const;
 

@@ -302,6 +302,13 @@ nearestName(const std::string &name,
     return best;
 }
 
+/** Characters of an option key: lower-case letters and '_'. */
+bool
+isKeyChar(char c)
+{
+    return (c >= 'a' && c <= 'z') || c == '_';
+}
+
 /** Option keys named `key=` in @p text (scenario descriptions list
  *  their own options that way). */
 void
@@ -312,8 +319,7 @@ collectOptionKeys(const std::string &text,
         if (text[i] != '=')
             continue;
         size_t start = i;
-        while (start > 0 && text[start - 1] >= 'a' &&
-               text[start - 1] <= 'z')
+        while (start > 0 && isKeyChar(text[start - 1]))
             --start;
         if (start < i)
             out.push_back(text.substr(start, i - start));
@@ -379,19 +385,7 @@ scenarioMain(int argc, const char *const *argv)
         toRun = registry.all();
     } else {
         std::cerr << "usage: scenario=<name>|all [list=1] "
-                     "[threads=N] "
-                     "[insts=N] [seeds=N] [quick=1] "
-                     "[warmup=N] [trace=file.trc] [storebytes=N] "
-                     "[profile=0|1] "
-                     "[workers=N] [timeout=S] [retries=N] "
-                     "[backoff=MS] [spool=dir] [resume=dir] "
-                     "[faultinject=spec] "
-                     "[telemetry=out.json] [chrometrace=out.json] "
-                     "[progress=S] "
-                     "[chips=N] [sigma=S] [chipseed=N] "
-                     "[policy=static|oracle|reactive] [epoch=N] "
-                     "[switchcycles=N] [switchenergy=E] "
-                     "[floor=mV]\n";
+                     "(every option: docs/OPTIONS.md)\n";
         listScenarios(std::cerr);
         return 1;
     }

@@ -29,7 +29,7 @@ variation::PopulationConfig
 parsePopulationConfig(ScenarioContext &ctx, uint32_t defaultChips,
                       variation::SimulateMode simulate);
 
-/** Run the population on the context's simulator and thread pool. */
+/** Run the population on the context's simulator and runner config. */
 variation::PopulationResult
 runPopulation(ScenarioContext &ctx,
               const variation::PopulationConfig &cfg);

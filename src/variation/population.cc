@@ -78,7 +78,7 @@ ChipPopulation::run(const PopulationConfig &cfg) const
         samples.push_back(std::move(chip));
     }
 
-    // Fan the requested pipeline simulations out over the pool in
+    // Fan the requested pipeline simulations out over the runner in
     // fixed (chip, voltage, trace) order.
     struct SimTarget
     {

@@ -1,19 +1,20 @@
 /**
  * @file
- * Unit tests for the parallel experiment runner: the thread pool,
- * thread-count and chunk-size determinism of the sweep results
- * (every schedule must agree bitwise), and the scenario registry.
+ * Unit tests for the parallel experiment runner: thread-count and
+ * chunk-size determinism of the sweep results (every schedule must
+ * agree bitwise), error propagation out of a wave, and the scenario
+ * registry.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "circuit/voltage.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "fields_equal.hh"
 #include "obs/telemetry.hh"
 #include "sim/runner.hh"
@@ -22,53 +23,6 @@
 namespace iraw {
 namespace sim {
 namespace {
-
-// ------------------------------------------------------- thread pool
-
-TEST(ThreadPool, RunsSubmittedTasksAndReturnsResults)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 32; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(futures[i].get(), i * i);
-    EXPECT_EQ(pool.tasksSubmitted(), 32u);
-}
-
-TEST(ThreadPool, ZeroThreadRequestStillRunsTasks)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.size(), 1u);
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 16; ++i)
-            pool.submit([&ran] { ++ran; });
-        // No explicit wait: the destructor must drain the queue.
-    }
-    EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(ThreadPool, ExceptionsPropagateThroughFutures)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, DefaultThreadsIsPositive)
-{
-    EXPECT_GE(ThreadPool::defaultThreads(), 1u);
-}
 
 // --------------------------------------------- runner determinism
 
@@ -223,7 +177,43 @@ TEST(SweepRunner, ZeroThreadsMeansHardwareConcurrency)
     Simulator sim;
     SweepRunner runner(sim, {0});
     EXPECT_EQ(runner.effectiveThreads(),
-              ThreadPool::defaultThreads());
+              std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// A failing chunk raises on the caller's thread, and at every thread
+// count it is the error a serial run raises: the lowest failing
+// chunk's.  Chunk 1 runs a whole simulation before its out-of-range
+// Vcc fails, so on four threads chunk 3's zero budget has usually
+// failed first; chunk 1's error must still be the one raised.
+TEST(SweepRunner, LowestFailingChunkRaisesAtEveryThreadCount)
+{
+    Simulator sim;
+    std::vector<SimConfig> cfgs;
+    for (uint64_t seed : {1, 2, 2, 3, 4}) {
+        SimConfig cfg;
+        cfg.instructions = 20000;
+        cfg.warmupInstructions = 1000;
+        cfg.seed = seed; // one trace group, so one chunk, per seed
+        cfgs.push_back(cfg);
+    }
+    cfgs[2].vcc = 2000;
+    cfgs[4].instructions = 0;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        try {
+            SweepRunner(sim, {threads}).runConfigs(cfgs);
+            ADD_FAILURE() << "no error raised";
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(),
+                         "Simulator: Vcc 2000 mV outside model range");
+        }
+    }
+}
+
+TEST(SweepRunner, EmptyWaveReturnsNoResults)
+{
+    Simulator sim;
+    EXPECT_TRUE(SweepRunner(sim, {4}).runConfigs({}).empty());
 }
 
 TEST(SweepRunner, EmptyConfigRejected)

@@ -19,8 +19,8 @@ import os
 import re
 import sys
 
-PARSE_SITE = re.compile(r'get(?:Int|Uint|Bool|String|Double)\(\s*"([a-z]+)"')
-DOC_ROW = re.compile(r'^\| `([a-z]+)=`', re.MULTILINE)
+PARSE_SITE = re.compile(r'get(?:Int|Uint|Bool|String|Double)\(\s*"([a-z_]+)"')
+DOC_ROW = re.compile(r'^\| `([a-z_]+)=`', re.MULTILINE)
 SOURCE_DIRS = ("src", "bench", "examples")
 README_LINKS = ("docs/OPTIONS.md", "docs/ARCHITECTURE.md")
 
