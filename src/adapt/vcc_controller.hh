@@ -380,7 +380,6 @@ class VccController
     /** Where the run starts: the floor for Oracle, else startVcc. */
     circuit::MilliVolts initialVcc() const { return _initial; }
 
-    circuit::MilliVolts currentVcc() const { return _current; }
     circuit::MilliVolts floorVcc() const { return _floor; }
     uint64_t epochs() const { return _epochs; }
 

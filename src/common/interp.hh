@@ -42,8 +42,6 @@ class MonotoneCubic
     double derivative(double x) const;
 
     bool valid() const { return xs_.size() >= 2; }
-    double minX() const { return xs_.front(); }
-    double maxX() const { return xs_.back(); }
 
   private:
     size_t findInterval(double x) const;

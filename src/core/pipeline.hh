@@ -235,7 +235,6 @@ class Pipeline
     const PipelineStats &stats() const { return _stats; }
     const Scoreboard &scoreboard() const { return _scoreboard; }
     const mechanism::StoreTable &storeTable() const { return _stable; }
-    const mechanism::IqOccupancyGate &iqGate() const { return _gate; }
     const predictor::InlinePredictor &branchPredictor() const
     {
         return _bp;
@@ -246,7 +245,6 @@ class Pipeline
         return _bpCorruption;
     }
     uint32_t stabilizationCycles() const { return _n; }
-    bool irawActive() const { return _n > 0; }
 
     /**
      * Runtime issue-width throttle (the adapt explore policies'

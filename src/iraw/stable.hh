@@ -65,7 +65,6 @@ class StoreTable
      * (0 disables the table entirely).
      */
     void setActiveEntries(uint32_t n);
-    uint32_t activeEntries() const { return _active; }
 
     /**
      * Record a store committed (written into DL0) at @p cycle.

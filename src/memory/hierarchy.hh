@@ -96,7 +96,6 @@ class MemoryHierarchy
 
     /** Set the DRAM latency in core cycles for this operating point. */
     void setDramLatencyCycles(uint32_t cycles);
-    uint32_t dramLatencyCycles() const { return _dramCycles; }
 
     /** Instruction fetch of the line containing @p pc. */
     MemAccessResult instFetch(uint64_t pc, Cycle cycle);
@@ -113,7 +112,6 @@ class MemoryHierarchy
     const Cache &ul1() const { return _ul1; }
     const Tlb &itlb() const { return _itlb; }
     const Tlb &dtlb() const { return _dtlb; }
-    const FillBuffer &fillBuffer() const { return _fb; }
     const WriteCombiningBuffer &wcb() const { return _wcb; }
     const IrawPortGuard &il0Guard() const { return _il0Guard; }
     const IrawPortGuard &dl0Guard() const { return _dl0Guard; }

@@ -1,12 +1,10 @@
 #include "obs/event_tracer.hh"
 
-#include <fcntl.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace iraw {
@@ -78,54 +76,6 @@ threadId()
     return id;
 }
 
-/**
- * Structural check for one merged JSONL line: a single JSON object
- * with balanced braces/brackets outside strings, closed strings and
- * no raw control characters.  Enough to reject a crashed writer's
- * torn final line without a full JSON parser.
- */
-bool
-validJsonObjectLine(const std::string &line)
-{
-    size_t begin = line.find_first_not_of(" \t");
-    if (begin == std::string::npos || line[begin] != '{')
-        return false;
-    int depth = 0;
-    bool inString = false;
-    bool escaped = false;
-    size_t end = 0;
-    for (size_t i = begin; i < line.size(); ++i) {
-        char c = line[i];
-        if (inString) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"')
-                inString = false;
-            else if (static_cast<unsigned char>(c) < 0x20)
-                return false;
-            continue;
-        }
-        if (c == '"')
-            inString = true;
-        else if (c == '{' || c == '[')
-            ++depth;
-        else if (c == '}' || c == ']') {
-            if (--depth < 0)
-                return false;
-            if (depth == 0) {
-                end = i;
-                break;
-            }
-        }
-    }
-    if (inString || depth != 0 || end == 0)
-        return false;
-    size_t tail = line.find_first_not_of(" \t\r", end + 1);
-    return tail == std::string::npos;
-}
-
 } // namespace
 
 EventTracer::Arg
@@ -146,13 +96,6 @@ EventTracer::Arg
 EventTracer::arg(const std::string &key, const std::string &value)
 {
     return Arg{key, jsonQuote(value)};
-}
-
-EventTracer::~EventTracer()
-{
-    MutexLock lock(_mutex);
-    if (_spoolFd >= 0)
-        ::close(_spoolFd);
 }
 
 void
@@ -193,15 +136,10 @@ EventTracer::record(char ph, const std::string &name,
     json.push_back('}');
 
     MutexLock lock(_mutex);
-    if (_spoolFd >= 0) {
-        json.push_back('\n');
-        // One write per event: a crash tears at most this line.
-        ssize_t rc =
-            ::write(_spoolFd, json.data(), json.size());
-        (void)rc;
-        return;
-    }
-    _events.push_back(std::move(json));
+    if (_sink)
+        _sink(json);
+    else
+        _events.push_back(std::move(json));
 }
 
 void
@@ -232,39 +170,12 @@ EventTracer::end(const std::string &name, const std::string &cat)
     record('E', name, cat, nowUs(), 0, false, {});
 }
 
-bool
-EventTracer::openSpool(const std::string &path)
+void
+EventTracer::appendEvents(std::vector<std::string> events)
 {
-    int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC |
-                                      O_APPEND | O_CLOEXEC,
-                    0644);
-    if (fd < 0)
-        return false;
     MutexLock lock(_mutex);
-    if (_spoolFd >= 0)
-        ::close(_spoolFd);
-    _spoolFd = fd;
-    return true;
-}
-
-bool
-EventTracer::appendEventsFromFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::vector<std::string> valid;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        if (validJsonObjectLine(line))
-            valid.push_back(line);
-    }
-    MutexLock lock(_mutex);
-    for (auto &v : valid)
-        _events.push_back(std::move(v));
-    return true;
+    for (std::string &event : events)
+        _events.push_back(std::move(event));
 }
 
 void

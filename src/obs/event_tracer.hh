@@ -10,15 +10,12 @@
  * recorded in forked service workers stitch onto the supervisor's
  * timeline with no clock translation.
  *
- * Two recording modes:
- *  - in-memory (default): events accumulate under a mutex and are
- *    rendered by writeChromeTrace();
- *  - spool (openSpool): each event is rendered immediately and
- *    written as one JSONL line with a single write() to an O_APPEND
- *    fd, so a crashing worker leaves at most one torn final line.
- *    The supervisor merges worker spool files back with
- *    appendEventsFromFile(), which validates each line and skips
- *    torn tails.
+ * Events accumulate in memory under a mutex and are rendered by
+ * writeChromeTrace().  A tracer built with a sink hands each event to
+ * it instead, as soon as it is rendered: a forked service worker's
+ * sink frames it onto a crash-safe spool (src/service/spool.*), and
+ * the supervisor merges the spool's payloads back with
+ * appendEvents().
  *
  * Everything here is observational: tracing never touches stdout or
  * simulated state (docs/ARCHITECTURE.md, determinism invariant 9).
@@ -28,6 +25,7 @@
 #define IRAW_OBS_EVENT_TRACER_HH
 
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -75,8 +73,13 @@ class EventTracer
         return arg(key, static_cast<uint64_t>(value));
     }
 
+    /** Where a tracer built with one sends each rendered event. */
+    using Sink = std::function<void(const std::string &event)>;
+
     EventTracer() = default;
-    ~EventTracer();
+    /** Hand every event to @p sink (called under the tracer's
+     *  mutex, so one call at a time) instead of keeping it. */
+    explicit EventTracer(Sink sink) : _sink(std::move(sink)) {}
     EventTracer(const EventTracer &) = delete;
     EventTracer &operator=(const EventTracer &) = delete;
 
@@ -128,21 +131,9 @@ class EventTracer
         std::string _cat;
     };
 
-    /**
-     * Switch to spool mode: every subsequent event goes straight to
-     * @p path (truncated) as one JSONL line per event.  Returns
-     * false (and stays in-memory) if the file cannot be opened.
-     */
-    bool openSpool(const std::string &path) EXCLUDES(_mutex);
-
-    /**
-     * Merge a worker-side event spool: every structurally valid
-     * JSON-object line is appended to this tracer; torn or invalid
-     * lines (a crashed writer's final line) are skipped.  Returns
-     * false if @p path cannot be read.
-     */
-    bool appendEventsFromFile(const std::string &path)
-        EXCLUDES(_mutex);
+    /** Append pre-rendered events, such as a worker's spooled
+     *  ones, to this tracer's timeline. */
+    void appendEvents(std::vector<std::string> events) EXCLUDES(_mutex);
 
     /** Render the whole timeline as Chrome trace-event JSON. */
     void writeChromeTrace(std::ostream &os) const EXCLUDES(_mutex);
@@ -155,10 +146,10 @@ class EventTracer
                 bool hasDur, const std::vector<Arg> &args)
         EXCLUDES(_mutex);
 
+    Sink _sink;
     mutable Mutex _mutex;
     /** Pre-rendered JSON objects, one per event. */
     std::vector<std::string> _events GUARDED_BY(_mutex);
-    int _spoolFd GUARDED_BY(_mutex) = -1;
 };
 
 } // namespace obs

@@ -13,7 +13,9 @@
  * the resume scan detects and truncates, never a silently corrupt
  * record.  A completed shard is atomically renamed from
  * `<stem>.jsonl.part` to `<stem>.jsonl`, making "this shard is done"
- * a rename-atomic fact a SIGKILL cannot fake.
+ * a rename-atomic fact a SIGKILL cannot fake.  The frame is the only
+ * one a worker writes: its Chrome trace events travel in it too, one
+ * event per record, in a per-attempt side file.
  *
  * Doubles are transported as their IEEE-754 bit patterns (unsigned
  * decimals in the JSON), so a spooled-and-merged run is bitwise
@@ -130,8 +132,6 @@ class SpoolWriter
 
     /** Simulate a write failure with this errno (fault injection). */
     void failWritesWith(int err) { _forcedErrno = err; }
-
-    int fd() const { return _fd; }
 
   private:
     int _fd = -1;

@@ -24,23 +24,9 @@ namespace fs = std::filesystem;
 void
 ServiceStats::fold(const ServiceStats &other)
 {
-    calls += other.calls;
-    shardsTotal += other.shardsTotal;
-    shardsCompleted += other.shardsCompleted;
-    shardsReused += other.shardsReused;
-    shardsFailed += other.shardsFailed;
-    records += other.records;
-    recordsResumed += other.recordsResumed;
-    launches += other.launches;
-    retries += other.retries;
-    crashes += other.crashes;
-    exitFailures += other.exitFailures;
-    timeouts += other.timeouts;
-    sigterms += other.sigterms;
-    sigkills += other.sigkills;
-    tornTails += other.tornTails;
-    badRecords += other.badRecords;
-    spoolErrors += other.spoolErrors;
+    auto add = [](const char *, const char *, uint64_t &total,
+                  uint64_t value) { total += value; };
+    fields(add, *this, other);
     failedShards.insert(failedShards.end(), other.failedShards.begin(),
                         other.failedShards.end());
 }
@@ -101,15 +87,17 @@ struct ShardScan
     /** The decoded records after the header that carry the shard's
      *  items, in order. */
     std::vector<sim::SimResult> items;
-    /** End of the usable prefix: the header and those items. */
+    /** End of the usable prefix: the header and those items, or
+     *  nothing without the header. */
     uint64_t validBytes = 0;
     /** Bytes beyond the usable prefix: a torn frame, or a CRC-valid
      *  record of the wrong item, an undecodable one, or one past
-     *  the shard's last item. */
+     *  the shard's last item; every byte of a headerless file. */
     bool torn = false;
     bool exists = false;
 
-    /** Every item of @p shard and nothing after: a spool to merge. */
+    /** Every item of @p shard and nothing after: a done spool to
+     *  accept. */
     bool
     complete(const Shard &shard) const
     {
@@ -123,43 +111,37 @@ scanShardSpool(const std::string &path, const Shard &shard)
     ShardScan out;
     SpoolScan scan = scanSpoolFile(path);
     out.exists = scan.exists;
-    out.torn = scan.torn;
-    out.validBytes = scan.validBytes;
-    if (scan.payloads.empty())
-        return out;
-
     std::string stem;
     uint64_t declaredItems = 0;
-    if (!decodeShardHeader(scan.payloads[0], stem, declaredItems) ||
-        stem != shard.stem ||
-        declaredItems != shard.indices.size())
-        return out;
-    out.headerOk = true;
+    out.headerOk =
+        !scan.payloads.empty() &&
+        decodeShardHeader(scan.payloads[0], stem, declaredItems) &&
+        stem == shard.stem && declaredItems == shard.indices.size();
 
     // Keep the prefix of records that decode and carry the shard's
     // items in order; a bad record invalidates itself and everything
     // after it (order is the checkpoint).
     sim::SimResult r;
     uint64_t index = 0;
-    while (out.items.size() < shard.indices.size() &&
+    while (out.headerOk && out.items.size() < shard.indices.size() &&
            out.items.size() + 1 < scan.payloads.size() &&
            decodeResult(scan.payloads[out.items.size() + 1], index, r) &&
            index == shard.indices[out.items.size()])
         out.items.push_back(std::move(r));
-    // Only that prefix is usable: a resumed part file is cut back to
-    // it before the worker appends, and a done file with anything
-    // after it is not reused.
-    out.validBytes = scan.frameEnds[out.items.size()];
-    out.torn = scan.torn || out.items.size() + 1 < scan.payloads.size();
+    // Only that prefix is usable: a part file is cut back to it
+    // before a worker appends, and a done file with anything after
+    // it is not accepted.
+    out.validBytes = out.headerOk ? scan.frameEnds[out.items.size()] : 0;
+    out.torn = scan.torn || out.validBytes < scan.validBytes;
     return out;
 }
 
 /**
- * Per-(shard, attempt) worker event-spool path.  Workers append
- * rendered trace events here (one JSONL line per event, crash-safe);
- * the supervisor merges every attempt's file into the session tracer
- * after the run, which is how worker-side spans — with the worker's
- * own pid — end up in the single chrometrace= output.
+ * Per-(shard, attempt) worker event-spool path.  Workers frame each
+ * rendered trace event onto it like a result record; the supervisor
+ * merges the file into the session tracer when it reaps the attempt,
+ * which is how worker-side spans — with the worker's own pid — end
+ * up in the single chrometrace= output.
  */
 std::string
 eventSpoolPath(const std::string &spoolDir, const Shard &shard,
@@ -185,15 +167,14 @@ workerMain(const sim::Simulator &sim, const ServiceConfig &cfg,
     SpoolWriter writer;
     const std::string part = partPath(cfg.spoolDir, shard);
 
-    // Worker-side event tracing (chrometrace=): spool mode writes
-    // each event immediately, so even a crashed attempt leaves a
-    // mergeable timeline up to the moment it died.
+    // Worker-side event tracing (chrometrace=): each event is framed
+    // onto the event spool as it is recorded, so even a crashed
+    // attempt leaves a mergeable timeline up to the moment it died.
+    SpoolWriter events;
     std::shared_ptr<obs::EventTracer> tracer;
-    if (!eventPath.empty()) {
-        tracer = std::make_shared<obs::EventTracer>();
-        if (!tracer->openSpool(eventPath))
-            tracer.reset();
-    }
+    if (!eventPath.empty() && events.open(eventPath, /*append=*/false))
+        tracer = std::make_shared<obs::EventTracer>(
+            [&events](const std::string &event) { events.append(event); });
     if (tracer)
         tracer->instant(
             "service.fork", "service",
@@ -303,50 +284,48 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
     stats.calls = 1;
     stats.shardsTotal = manifest.shards.size();
 
-    // Resume pass: reuse complete spools, truncate torn partials,
-    // and record how much of each incomplete shard is already done.
-    std::vector<bool> done(manifest.shards.size(), false);
+    // Validate and decode a shard's done spool, once.  A complete
+    // one's results go straight into their slots: the config is
+    // re-attached locally, not transported, since the manifest
+    // fingerprint guarantees it matches.  Any other done spool is
+    // stale, foreign or damaged, so it is removed and the shard
+    // reruns from scratch.
+    std::vector<sim::SimResult> results(configs.size());
+    auto accept = [&](const Shard &shard) {
+        const std::string path = donePath(cfg.spoolDir, shard);
+        ShardScan scan = scanShardSpool(path, shard);
+        if (!scan.complete(shard)) {
+            if (scan.exists) {
+                ++stats.badRecords;
+                fs::remove(path);
+            }
+            return false;
+        }
+        for (size_t j = 0; j < scan.items.size(); ++j) {
+            const size_t index = shard.indices[j];
+            scan.items[j].config = configs[index];
+            results[index] = std::move(scan.items[j]);
+        }
+        stats.records += scan.items.size();
+        if (meter)
+            meter->add();
+        return true;
+    };
+
+    // First pass: accept the complete spools (resume=) and queue
+    // every other shard; launch() below recovers its part file.
     std::deque<PendingJob> pending;
     for (size_t s = 0; s < manifest.shards.size(); ++s) {
         const Shard &shard = manifest.shards[s];
-        const std::string part = partPath(cfg.spoolDir, shard);
-        const std::string full = donePath(cfg.spoolDir, shard);
-
-        if (cfg.resume) {
-            ShardScan dscan = scanShardSpool(full, shard);
-            if (dscan.complete(shard)) {
-                done[s] = true;
-                ++stats.shardsReused;
-                stats.recordsResumed += dscan.items.size();
-                if (meter)
-                    meter->add();
-                continue;
-            }
-            if (dscan.exists) {
-                // Stale, foreign or damaged "complete" spool: it
-                // cannot be trusted, so it reruns from scratch.
-                ++stats.badRecords;
-                fs::remove(full);
-            }
-        } else {
-            // Fresh run: never trust leftovers under our names.
-            fs::remove(full);
-            fs::remove(part);
+        if (cfg.resume && accept(shard)) {
+            ++stats.shardsReused;
+            stats.recordsResumed += shard.indices.size();
+            continue;
         }
-
-        if (cfg.resume) {
-            ShardScan pscan = scanShardSpool(part, shard);
-            if (pscan.torn && pscan.headerOk) {
-                ++stats.tornTails;
-                fs::resize_file(part, pscan.validBytes);
-            }
-            if (!pscan.headerOk && pscan.exists) {
-                ++stats.badRecords;
-                fs::remove(part);
-            }
-            // A header-ok partial is a checkpoint: launch() below
-            // re-scans it, skips its records and credits them as
-            // resumed.
+        if (!cfg.resume) {
+            // Fresh run: never trust leftovers under our names.
+            fs::remove(donePath(cfg.spoolDir, shard));
+            fs::remove(partPath(cfg.spoolDir, shard));
         }
         pending.push_back({s, 0, 0.0});
     }
@@ -360,21 +339,26 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
     // (in-session retry).
     std::vector<uint64_t> credited(manifest.shards.size(), 0);
     std::map<pid_t, RunningJob> running;
+    // Shards that exhausted their retries, reported in manifest order.
+    std::vector<size_t> failed;
 
     auto launch = [&](const PendingJob &job) {
         const Shard &shard = manifest.shards[job.shardIdx];
-        // Re-scan before every launch: a crashed attempt's partial
-        // spool is a checkpoint, not garbage — in-session retries
-        // resume from it exactly like resume= does across runs.
+        // Scan the part file before every launch: a partial spool is
+        // a checkpoint, not garbage, so an in-session retry resumes
+        // from it exactly like resume= does across runs.  Anything
+        // past its usable prefix is cut off: a torn tail, or every
+        // byte of a file without this shard's header.
         const std::string part = partPath(cfg.spoolDir, shard);
         ShardScan pscan = scanShardSpool(part, shard);
-        if (pscan.torn && pscan.headerOk) {
-            ++stats.tornTails;
+        if (pscan.torn) {
+            if (pscan.headerOk)
+                ++stats.tornTails;
+            else
+                ++stats.badRecords;
             fs::resize_file(part, pscan.validBytes);
         }
-        uint64_t skip = pscan.headerOk ? pscan.items.size() : 0;
-        if (!pscan.headerOk && pscan.exists)
-            fs::remove(part);
+        const uint64_t skip = pscan.items.size();
         if (skip > credited[job.shardIdx]) {
             stats.recordsResumed += skip - credited[job.shardIdx];
             credited[job.shardIdx] = skip;
@@ -426,7 +410,7 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
             return;
         }
         ++stats.shardsFailed;
-        stats.failedShards.push_back(shard.stem);
+        failed.push_back(shardIdx);
         warn("service: shard %s failed after %llu attempt(s); its "
              "points stay zeroed (service.failed_shards)",
              shard.stem.c_str(),
@@ -462,11 +446,11 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
             it = running.erase(it);
             reaped = true;
 
+            // A clean exit has published the done spool.
             const Shard &shard = manifest.shards[job.shardIdx];
-            bool ok = WIFEXITED(status) &&
-                      WEXITSTATUS(status) == kExitOk &&
-                      fs::exists(donePath(cfg.spoolDir, shard));
-            if (tracer)
+            const bool ok = WIFEXITED(status) &&
+                            WEXITSTATUS(status) == kExitOk && accept(shard);
+            if (tracer) {
                 tracer->complete(
                     "service.shard", "service", job.startUs,
                     tracer->nowUs() - job.startUs,
@@ -478,11 +462,16 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
                                      : WIFSIGNALED(status)
                                          ? "crash"
                                          : "exit_failure"))});
+                // Stitch the attempt's event spool into the session
+                // tracer; a crashed attempt's valid prefix merges too.
+                const std::string events =
+                    eventSpoolPath(cfg.spoolDir, shard, job.attempt);
+                tracer->appendEvents(scanSpoolFile(events).payloads);
+                std::error_code ec;
+                fs::remove(events, ec);
+            }
             if (ok) {
-                done[job.shardIdx] = true;
                 ++stats.shardsCompleted;
-                if (meter)
-                    meter->add();
                 continue;
             }
             if (WIFSIGNALED(status)) {
@@ -536,62 +525,9 @@ runSharded(const sim::Simulator &sim, ServiceSession &session,
             ::usleep(500); // backoff gate not yet open
     }
 
-    // Merge in fixed manifest order from the completed spools — the
-    // single reduction path shared by fresh, resumed and reused
-    // shards, so execution history cannot leak into the output.
-    const uint64_t mergeStartUs = tracer ? tracer->nowUs() : 0;
-    std::vector<sim::SimResult> results(configs.size());
-    for (size_t s = 0; s < manifest.shards.size(); ++s) {
-        if (!done[s])
-            continue;
-        const Shard &shard = manifest.shards[s];
-        ShardScan scan =
-            scanShardSpool(donePath(cfg.spoolDir, shard), shard);
-        if (!scan.complete(shard)) {
-            ++stats.badRecords;
-            ++stats.shardsFailed;
-            stats.failedShards.push_back(shard.stem);
-            warn("service: completed spool for shard %s failed "
-                 "validation; its points stay zeroed",
-                 shard.stem.c_str());
-            continue;
-        }
-        for (size_t j = 0; j < scan.items.size(); ++j) {
-            const size_t index = shard.indices[j];
-            // The config is re-attached locally, not transported:
-            // the manifest fingerprint guarantees it matches.
-            scan.items[j].config = configs[index];
-            results[index] = std::move(scan.items[j]);
-        }
-        stats.records += scan.items.size();
-    }
-
-    if (tracer)
-        tracer->complete(
-            "service.merge", "service", mergeStartUs,
-            tracer->nowUs() - mergeStartUs,
-            {obs::EventTracer::arg("shards",
-                                   uint64_t(manifest.shards.size())),
-             obs::EventTracer::arg("records", stats.records)});
-
-    // Stitch the workers' event spools into the session tracer.  A
-    // crashed attempt's file is still mergeable (workers emit only
-    // self-contained X/i events, one whole line per write), so the
-    // merged timeline shows the aborted attempt next to the retry.
-    if (tracer) {
-        for (const Shard &shard : manifest.shards) {
-            for (uint64_t a = 0; a <= cfg.retries; ++a) {
-                const std::string path =
-                    eventSpoolPath(cfg.spoolDir, shard, a);
-                std::error_code ec;
-                if (!fs::exists(path, ec))
-                    continue;
-                tracer->appendEventsFromFile(path);
-                fs::remove(path, ec);
-            }
-        }
-    }
-
+    std::sort(failed.begin(), failed.end());
+    for (size_t shardIdx : failed)
+        stats.failedShards.push_back(manifest.shards[shardIdx].stem);
     session.foldStats(stats);
     return results;
 }

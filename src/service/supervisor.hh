@@ -14,16 +14,20 @@
  *                 supervise: waitpid crash detection, timeout=
  *                         SIGTERM -> SIGKILL escalation, retries=
  *                         with capped exponential backoff=
- *                 merge: decode spools in manifest order
+ *                 accept: validate and decode each done spool
+ *                         once, into its results' slots
  *
  * Crash safety is structural, not best-effort: a record is durable
  * only once its whole CRC-framed line is on disk, a shard is
  * complete only once its spool is atomically renamed, and a resumed
- * call (resume=) rebuilds the same manifest, truncates any torn
- * tail, re-enqueues only the missing work and merges in manifest
- * order — so interrupted-then-resumed output is byte-identical to an
+ * call (resume=) rebuilds the same manifest, accepts the done
+ * spools, truncates any torn tail and re-enqueues only the missing
+ * work.  Results land by config index, never in completion order,
+ * so interrupted-then-resumed output is byte-identical to an
  * uninterrupted single-process run (determinism invariant 8,
- * docs/ARCHITECTURE.md).
+ * docs/ARCHITECTURE.md).  Worker trace events travel the same way:
+ * each attempt frames them onto its own event spool, merged into the
+ * session tracer when the attempt is reaped.
  *
  * Degradation is explicit: a shard that exhausts its retries does
  * not kill the sweep; its result slots stay zeroed and the
@@ -39,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "common/field_count.hh"
 #include "service/fault_injector.hh"
 #include "sim/simulation.hh"
 
@@ -88,29 +93,65 @@ struct ServiceStats
 {
     uint64_t calls = 0;
     uint64_t shardsTotal = 0;
-    uint64_t shardsCompleted = 0; //!< by a worker, this session
-    uint64_t shardsReused = 0;    //!< complete spool found on resume
-    uint64_t shardsFailed = 0;    //!< retries exhausted
-    uint64_t records = 0;         //!< result records merged
-    uint64_t recordsResumed = 0;  //!< records recovered from spools
-    uint64_t launches = 0;        //!< worker processes forked
-    uint64_t retries = 0;         //!< relaunches after a failure
-    uint64_t crashes = 0;         //!< workers that died on a signal
-    uint64_t exitFailures = 0;    //!< workers with nonzero exit
-    uint64_t timeouts = 0;        //!< shards past their deadline
+    uint64_t shardsCompleted = 0;
+    uint64_t shardsReused = 0;
+    uint64_t shardsFailed = 0;
+    uint64_t records = 0;
+    uint64_t recordsResumed = 0;
+    uint64_t launches = 0;
+    uint64_t retries = 0;
+    uint64_t crashes = 0;
+    uint64_t exitFailures = 0;
+    uint64_t timeouts = 0;
     uint64_t sigterms = 0;
     uint64_t sigkills = 0;
-    uint64_t tornTails = 0;       //!< truncated partial frames
-    uint64_t badRecords = 0;      //!< CRC-valid frames that failed to
-                                  //!< decode, or stale spools rejected
-    uint64_t spoolErrors = 0;     //!< worker spool-write failures
+    uint64_t tornTails = 0;
+    uint64_t badRecords = 0;
+    uint64_t spoolErrors = 0;
 
     /** Stems of the shards that exhausted retries, in manifest
      *  order (the explicit service.failed_shards accounting). */
     std::vector<std::string> failedShards;
 
+    /**
+     * The one list of the counters, in report order: @p v gets each
+     * counter's report name, its description and the member of every
+     * record in @p r.  fold() and the service.* report walk it.
+     */
+    template <class V, class... R>
+    static void
+    fields(V &&v, R &...r)
+    {
+        v("calls", "sharded runConfigs calls", r.calls...);
+        v("shards", "shards across all manifests", r.shardsTotal...);
+        v("shards_completed", "shards finished by workers",
+          r.shardsCompleted...);
+        v("shards_reused", "complete spools reused on resume",
+          r.shardsReused...);
+        v("failed_shards", "shards that exhausted their retries",
+          r.shardsFailed...);
+        v("records", "result records merged", r.records...);
+        v("records_resumed", "records recovered from existing spools",
+          r.recordsResumed...);
+        v("launches", "worker processes forked", r.launches...);
+        v("retries", "relaunches after a failure", r.retries...);
+        v("crashes", "workers that died on a signal", r.crashes...);
+        v("exit_failures", "workers with a nonzero exit",
+          r.exitFailures...);
+        v("timeouts", "shards past their deadline", r.timeouts...);
+        v("sigterms", "timeout SIGTERMs sent", r.sigterms...);
+        v("sigkills", "escalation SIGKILLs sent", r.sigkills...);
+        v("torn_tails", "partial spool frames truncated", r.tornTails...);
+        v("bad_records", "rejected spool records or files",
+          r.badRecords...);
+        v("spool_errors", "worker spool-write failures", r.spoolErrors...);
+    }
+
     void fold(const ServiceStats &other);
 };
+
+static_assert(fieldCount<ServiceStats>() == 18,
+              "list the new counter in ServiceStats::fields()");
 
 /**
  * Shared state of one scenario invocation's service mode: the
@@ -137,8 +178,8 @@ class ServiceSession
     /**
      * Attach the scenario's telemetry session: the supervisor
      * records shard lifecycle spans and retry/timeout instants on
-     * its tracer, workers spool their own event files (merged back
-     * after the run), and shard progress feeds its meter.  Must be
+     * its tracer, workers spool their own events (merged back as
+     * each attempt is reaped), and shard progress feeds its meter.  Must be
      * set before the first runSharded call; null = telemetry off.
      */
     void

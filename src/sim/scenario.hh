@@ -127,13 +127,6 @@ class ScenarioContext
      *  and should be removed after a fully successful run. */
     bool spoolIsTemp() const { return _spoolIsTemp; }
 
-    /** The telemetry session, or null when telemetry is off. */
-    const std::shared_ptr<obs::TelemetrySession> &
-    telemetrySession() const
-    {
-        return _telemetry;
-    }
-
     /** A SweepConfig seeded with the context's suite and warmup. */
     SweepConfig sweepConfig() const;
 

@@ -276,31 +276,11 @@ addServiceMetrics(obs::MetricsRegistry &registry,
                   const service::ServiceStats &s)
 {
     Group svc(registry, "service");
-    svc.counter("calls", s.calls, "sharded runConfigs calls");
-    svc.counter("shards", s.shardsTotal, "shards across all manifests");
-    svc.counter("shards_completed", s.shardsCompleted,
-                "shards finished by workers");
-    svc.counter("shards_reused", s.shardsReused,
-                "complete spools reused on resume");
-    svc.counter("failed_shards", s.shardsFailed,
-                "shards that exhausted their retries");
-    svc.counter("records", s.records, "result records merged");
-    svc.counter("records_resumed", s.recordsResumed,
-                "records recovered from existing spools");
-    svc.counter("launches", s.launches, "worker processes forked");
-    svc.counter("retries", s.retries, "relaunches after a failure");
-    svc.counter("crashes", s.crashes, "workers that died on a signal");
-    svc.counter("exit_failures", s.exitFailures,
-                "workers with a nonzero exit");
-    svc.counter("timeouts", s.timeouts, "shards past their deadline");
-    svc.counter("sigterms", s.sigterms, "timeout SIGTERMs sent");
-    svc.counter("sigkills", s.sigkills, "escalation SIGKILLs sent");
-    svc.counter("torn_tails", s.tornTails,
-                "partial spool frames truncated");
-    svc.counter("bad_records", s.badRecords,
-                "rejected spool records or files");
-    svc.counter("spool_errors", s.spoolErrors,
-                "worker spool-write failures");
+    service::ServiceStats::fields(
+        [&svc](const char *name, const char *desc, uint64_t value) {
+            svc.counter(name, value, desc);
+        },
+        s);
 }
 
 void

@@ -51,11 +51,6 @@ struct ChipGeometry
 {
     std::array<uint32_t, kNumStructures> lines{};
 
-    uint32_t linesOf(StructureId id) const
-    {
-        return lines[static_cast<uint32_t>(id)];
-    }
-
     /** Derive from the machine configuration (cache line frames,
      *  TLB entries, logical registers, buffer slots). */
     static ChipGeometry from(const core::CoreConfig &core,

@@ -25,6 +25,7 @@
 #include "obs/progress.hh"
 #include "obs/telemetry.hh"
 #include "service/fault_injector.hh"
+#include "service/spool.hh"
 #include "service/supervisor.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
@@ -201,25 +202,24 @@ TEST(EventTracer, SpoolSurvivesTornTailAndMerges)
     const std::string path = dir + "/worker.events.jsonl";
 
     {
-        EventTracer worker;
-        ASSERT_TRUE(worker.openSpool(path));
+        service::SpoolWriter spool;
+        ASSERT_TRUE(spool.open(path, /*append=*/false));
+        EventTracer worker(
+            [&spool](const std::string &event) { spool.append(event); });
         worker.instant("service.fork", "service",
                        {EventTracer::arg("shard", uint64_t(0))});
         uint64_t start = worker.nowUs();
         worker.complete("service.item", "service", start, 3);
-        // Worker "crashes" here: the destructor just closes the fd;
-        // whole lines already written stay durable.
-    }
-    // A torn final line, as a mid-write SIGKILL would leave it.
-    {
-        std::ofstream torn(path, std::ios::app);
-        torn << "{\"name\":\"service.item\",\"ph\":\"X\",\"ts\":12";
+        // Every event went to the sink; none stayed in memory.
+        EXPECT_EQ(worker.eventCount(), 0u);
+        // A torn final frame, as a mid-write SIGKILL would leave it.
+        ASSERT_TRUE(spool.appendRaw("IRSP1 4096 deadbeef {\"name\":"));
     }
 
     EventTracer supervisor;
     supervisor.instant("service.retry", "service");
-    EXPECT_TRUE(supervisor.appendEventsFromFile(path));
-    // 1 supervisor event + 2 intact worker lines; torn tail skipped.
+    supervisor.appendEvents(service::scanSpoolFile(path).payloads);
+    // 1 supervisor event + 2 intact worker frames; torn tail skipped.
     EXPECT_EQ(supervisor.eventCount(), 3u);
 
     std::ostringstream os;

@@ -670,6 +670,28 @@ TEST_F(ServiceRunTest, RetryExhaustionDegradesExplicitly)
     expectResultsIdentical(sharded, want);
 }
 
+TEST_F(ServiceRunTest, FailedShardsAreReportedInManifestOrder)
+{
+    sim::Simulator sim;
+    // Two shards of two items each.  Shard 0 dies after simulating
+    // its first item, long enough that shard 1, which dies at start,
+    // fails first; the report still names them in manifest order.
+    std::vector<sim::SimConfig> configs = smallConfigs();
+    configs.resize(4);
+    for (sim::SimConfig &c : configs)
+        c.instructions = 200000;
+    ServiceConfig cfg = baseConfig();
+    cfg.faults = FaultPlan::parse("crash:1@0!,crash@1!");
+    cfg.retries = 0;
+    ServiceSession session(cfg);
+    std::vector<Shard> manifest = buildManifest(configs, 2, 0).shards;
+    runSharded(sim, session, configs, 2);
+
+    EXPECT_EQ(session.stats().failedShards,
+              (std::vector<std::string>{manifest[0].stem,
+                                        manifest[1].stem}));
+}
+
 TEST_F(ServiceRunTest, ResumeAfterHardFailureIsByteIdentical)
 {
     sim::Simulator sim;
