@@ -440,7 +440,7 @@ Pipeline::fetchStage()
                 }
                 entry.predictedTaken = true;
                 entry.mispredicted =
-                    !pop.valid || pop.target != op->target;
+                    !pop.valid || pop.target != op->target();
                 if (entry.mispredicted)
                     ++_stats.rsbMispredicts;
             }

@@ -27,7 +27,7 @@ MicroOp::toString() const
     }
     if (isBranch()) {
         os << (taken ? " taken" : " not-taken") << " -> 0x"
-           << std::hex << target << std::dec;
+           << std::hex << target() << std::dec;
     }
     return os.str();
 }

@@ -18,37 +18,51 @@
 namespace iraw {
 namespace isa {
 
+/** Width of MicroOp::pc: a program counter must be below 2^47. */
+constexpr unsigned kPcBits = 47;
+/** Width of the address word: an address must be below 2^48. */
+constexpr unsigned kAddrBits = 48;
+
 /**
- * One dynamic micro-operation.  The 8-byte fields come first and the
- * 1-byte ones after them, and no op uses both of its addresses, so
- * the struct packs into 24 bytes: a trace store keeps every replayed
- * op resident in this form.  An op carries no sequence number; its
- * position in the trace is its identity, and
+ * One dynamic micro-operation, packed into two 64-bit words: a trace
+ * store keeps every replayed op resident in this form.  Word 0 holds
+ * the pc, `taken` and two registers; word 1 the address word, the
+ * third register, the class and the access size.  An op carries no
+ * sequence number; its position in the trace is its identity, and
  * trace::TraceBuffer::seqNum() derives the number a trace file
  * records.
+ *
+ * The narrow fields truncate what they cannot hold, so every source
+ * keeps to them: a synthetic address stays below 2^35, and
+ * trace::materializeFile rejects a record whose pc, address, class
+ * or size does not fit.
  */
 struct MicroOp
 {
-    uint64_t pc = 0; //!< virtual program counter
-
-    // Outcomes: memAddr/memSize are valid iff isMemOp(opClass),
-    // target/taken iff isControlOp(opClass).  No op uses both
-    // addresses, so they are one word under two names: read each only
-    // for the classes that use it.
-    union
+    // Bit-fields take no default member initializers before C++20.
+    MicroOp()
+        : pc(0), taken(false), dst(kInvalidReg), src1(kInvalidReg),
+          memAddr(0), src2(kInvalidReg), opClass(OpClass::Nop), memSize(0)
     {
-        uint64_t memAddr = 0;
-        uint64_t target;
-    };
+    }
 
-    OpClass opClass = OpClass::Nop;
+    uint64_t pc : kPcBits; //!< virtual program counter
+    bool taken : 1;        //!< direction; valid iff isControlOp
+    RegId dst;             //!< destination register (if any)
+    RegId src1;            //!< first source (if any)
 
-    RegId dst = kInvalidReg;  //!< destination register (if any)
-    RegId src1 = kInvalidReg; //!< first source (if any)
-    RegId src2 = kInvalidReg; //!< second source (if any)
+    // The address word: the data address of a load or store (with
+    // memSize) and the target of a control op, read through
+    // target().  No op uses both, so they share one word; read it
+    // only for the classes that use it.
+    uint64_t memAddr : kAddrBits;
+    RegId src2; //!< second source (if any)
+    OpClass opClass : 4;
+    uint8_t memSize : 4; //!< access size in bytes (1/2/4/8)
 
-    uint8_t memSize = 0; //!< access size in bytes (1/2/4/8)
-    bool taken = false;
+    /** A control op's target: the address word under its name. */
+    uint64_t target() const { return memAddr; }
+    void setTarget(uint64_t addr) { memAddr = addr; }
 
     bool hasDst() const { return isValidReg(dst); }
     bool hasSrc1() const { return isValidReg(src1); }
@@ -76,11 +90,11 @@ struct MicroOp
 };
 
 // A trace store keeps each trace resident as records x sizeof(MicroOp),
-// so this size is a sweep's trace memory.  Field order matters: a
-// 1-byte field placed between two 8-byte ones costs 7 bytes of
-// padding.
-static_assert(sizeof(MicroOp) == 24,
-              "MicroOp is the resident trace format: keep it 24 bytes");
+// so this size is a sweep's trace memory.  Each word's fields must
+// sum to 64 bits: one more bit starts a third word.
+static_assert(sizeof(MicroOp) == 16,
+              "MicroOp is the resident trace format: keep it 16 bytes");
+static_assert(kNumOpClasses < 16, "OpClass must fit MicroOp::opClass");
 
 /** Convenience factory: a pipeline-drain NOP (Sec. 4.2). */
 MicroOp makeNop(uint64_t pc);

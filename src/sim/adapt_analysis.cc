@@ -1,6 +1,7 @@
 #include "sim/adapt_analysis.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 
@@ -134,6 +135,13 @@ aggregateAdapt(const std::vector<SimResult> &results)
     agg.timeWeightedVcc = agg.totalExecTimeAu > 0.0
                               ? vccWeighted / agg.totalExecTimeAu
                               : 0.0;
+    // Each run's energy is finite, but switchenergy= can still make
+    // their sum overflow.
+    fatalIf(!std::isfinite(agg.energy.dynamic),
+            "switchenergy: %llu switches over %llu runs make the "
+            "energy total overflow",
+            static_cast<unsigned long long>(agg.switches),
+            static_cast<unsigned long long>(agg.runs));
     return agg;
 }
 

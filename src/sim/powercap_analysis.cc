@@ -36,8 +36,8 @@ runPowercapStudy(ScenarioContext &ctx)
     const std::string policyOpt =
         ctx.opts().getString("policy", "");
     const double capFrac = ctx.opts().getDouble("capfrac", 0.9);
-    fatalIf(capFrac <= 0.0, "capfrac=%g must be a fraction > 0",
-            capFrac);
+    fatalIf(capFrac <= 0.0 || capFrac > 1.0,
+            "capfrac=%g must be a fraction in (0, 1]", capFrac);
     const double refTime = calibrateRefTimePerInst(ctx);
 
     adapt::AdaptConfig base =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
@@ -318,6 +319,13 @@ SimEngine::finalize()
         res.adapt.switchEnergyAu =
             res.adapt.switches * acfg.switchEnergyAu;
         res.adapt.energy.dynamic += res.adapt.switchEnergyAu;
+        // The simulated energies are finite; only switchenergy=
+        // scales the total without bound.
+        fatalIf(!std::isfinite(res.adapt.energy.dynamic),
+                "switchenergy=%g: %llu switches make the run's energy "
+                "overflow",
+                acfg.switchEnergyAu,
+                static_cast<unsigned long long>(res.adapt.switches));
         res.adapt.timeWeightedVcc =
             res.adapt.execTimeAu > 0.0
                 ? vccWeighted / res.adapt.execTimeAu

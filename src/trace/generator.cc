@@ -308,15 +308,15 @@ SyntheticTraceGenerator::emitAt(uint32_t pos, MicroOp &op)
       case OpClass::Branch: {
         op.src1 = pickIntSource(); // condition register
         op.taken = _rng.chance(slot.biasTaken);
-        op.target = kCodeBase +
-                    static_cast<uint64_t>(slot.takenTarget) * 4;
+        op.setTarget(kCodeBase +
+                     static_cast<uint64_t>(slot.takenTarget) * 4);
         break;
       }
 
       case OpClass::Call: {
         op.taken = true;
-        op.target = kCodeBase +
-                    static_cast<uint64_t>(slot.calleeEntry) * 4;
+        op.setTarget(kCodeBase +
+                     static_cast<uint64_t>(slot.calleeEntry) * 4);
         break;
       }
 
@@ -362,7 +362,7 @@ SyntheticTraceGenerator::next(MicroOp &op)
             // (synthetic CFG artifact): continue sequentially.
             _pos = fallThrough;
         }
-        op.target = kCodeBase + static_cast<uint64_t>(_pos) * 4;
+        op.setTarget(kCodeBase + static_cast<uint64_t>(_pos) * 4);
         break;
       default:
         _pos = fallThrough;

@@ -4,9 +4,11 @@
  * encoding of one micro-op in a binary trace file (trace_io).
  * Everything is little-endian so dumped traces are portable across
  * hosts.  It is the file format only: the in-memory trace store holds
- * decoded isa::MicroOp values, which carry no sequence number and one
- * address word for the record's two address slots, so the caller
- * supplies the record's number on write and receives it on read.
+ * decoded isa::MicroOp values, which carry no sequence number, one
+ * address word for the record's two address slots, and fields
+ * narrower than the record's (a 47-bit pc, a 48-bit address, a 4-bit
+ * class and size), so the caller supplies the record's number on
+ * write and receives it on read.
  */
 
 #ifndef IRAW_TRACE_TRACE_RECORD_HH
@@ -67,7 +69,7 @@ packRecord(uint64_t seqNum, const isa::MicroOp &op, uint8_t *buf)
     putLe64(buf + 0, seqNum);
     putLe64(buf + 8, op.pc);
     putLe64(buf + 16, isa::isMemOp(op.opClass) ? op.memAddr : 0);
-    putLe64(buf + 24, isa::isControlOp(op.opClass) ? op.target : 0);
+    putLe64(buf + 24, isa::isControlOp(op.opClass) ? op.target() : 0);
     buf[32] = static_cast<uint8_t>(op.opClass);
     buf[33] = op.dst;
     buf[34] = op.src1;
@@ -81,17 +83,20 @@ packRecord(uint64_t seqNum, const isa::MicroOp &op, uint8_t *buf)
  * @p op; returns the record's sequence number.  The address word comes
  * from the slot the record's class uses (see packRecord) and is 0 for
  * a class that uses neither.  A slot the class does not use is not
- * read; materializeFile rejects a record that does not re-pack to its
- * own bytes.
+ * read, and a value too wide for its field is truncated;
+ * materializeFile rejects a record that does not re-pack to its own
+ * bytes, which catches both.
  */
 inline uint64_t
 unpackRecord(const uint8_t *buf, isa::MicroOp &op)
 {
     op.pc = getLe64(buf + 8);
     op.opClass = static_cast<isa::OpClass>(buf[32]);
-    op.memAddr = isa::isMemOp(op.opClass) ? getLe64(buf + 16) : 0;
-    if (isa::isControlOp(op.opClass))
-        op.target = getLe64(buf + 24);
+    op.memAddr = 0;
+    if (isa::isMemOp(op.opClass))
+        op.memAddr = getLe64(buf + 16);
+    else if (isa::isControlOp(op.opClass))
+        op.memAddr = getLe64(buf + 24);
     op.dst = buf[33];
     op.src1 = buf[34];
     op.src2 = buf[35];

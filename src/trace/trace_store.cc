@@ -126,24 +126,27 @@ materializeFile(const std::string &path)
         const uint64_t seq = unpackRecord(buf, ops[i]);
         // No consumer re-checks an op: an unknown class or register
         // would index past the pipeline's tables.  The record must
-        // also re-pack to its own bytes: an address in a slot its
-        // class does not use, or a flag bit past `taken`, would be
-        // dropped unread, and the file would not re-dump verbatim.
-        const isa::MicroOp &op = ops[i];
+        // also re-pack to its own bytes: a value too wide for its
+        // field (a pc at or above 2^47, an address at or above 2^48,
+        // a class or size byte above 15) would be truncated, and an
+        // address in a slot its class does not use or a flag bit past
+        // `taken` dropped unread, so the file would not re-dump
+        // verbatim.  The message prints the record's own bytes.
         uint8_t repacked[kTraceRecordBytes];
-        packRecord(seq, op, repacked);
-        if (!op.wellFormed() ||
+        packRecord(seq, ops[i], repacked);
+        if (!ops[i].wellFormed() ||
             std::memcmp(repacked, buf, sizeof(buf)) != 0)
             fatal("TraceReader: '%s' record %llu (seqNum %llu) is "
-                  "malformed: class %u, dst %u, src %u/%u, %u-byte "
-                  "access at 0x%llx, target 0x%llx, flags 0x%x",
+                  "malformed: class %u, pc 0x%llx, dst %u, src %u/%u, "
+                  "%u-byte access at 0x%llx, target 0x%llx, flags 0x%x",
                   path.c_str(), static_cast<unsigned long long>(i),
                   static_cast<unsigned long long>(seq),
-                  static_cast<unsigned>(op.opClass),
-                  static_cast<unsigned>(op.dst),
-                  static_cast<unsigned>(op.src1),
-                  static_cast<unsigned>(op.src2),
-                  static_cast<unsigned>(op.memSize),
+                  static_cast<unsigned>(buf[32]),
+                  static_cast<unsigned long long>(getLe64(buf + 8)),
+                  static_cast<unsigned>(buf[33]),
+                  static_cast<unsigned>(buf[34]),
+                  static_cast<unsigned>(buf[35]),
+                  static_cast<unsigned>(buf[36]),
                   static_cast<unsigned long long>(getLe64(buf + 16)),
                   static_cast<unsigned long long>(getLe64(buf + 24)),
                   static_cast<unsigned>(buf[37]));

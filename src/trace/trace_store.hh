@@ -48,8 +48,8 @@ namespace trace {
  * An immutable trace: the decoded micro-ops the pipeline replays, held
  * once and shared by every cursor over it.  The 38-byte packed record
  * (trace/trace_record.hh) is the file format only; in memory each op
- * costs sizeof(isa::MicroOp), 24 bytes, with one address word for the
- * record's memAddr and target slots.
+ * costs sizeof(isa::MicroOp), 16 bytes, with one 48-bit address word
+ * for the record's memAddr and target slots and a 47-bit pc.
  *
  * Record i's sequence number is i + 1, derived rather than stored.
  * Only a trace file whose records are not numbered 1..n keeps its
@@ -153,10 +153,11 @@ TraceBufferPtr materializeSynthetic(const WorkloadProfile &profile,
  * Load a whole binary trace file (trace/trace_io.hh) into a buffer.
  * A missing file, a bad magic or version, a header that claims more
  * records than the file holds, a short read, or a record that is not
- * isa::MicroOp::wellFormed() or does not re-pack to its own bytes (an
- * address in a slot its class does not use, a flag bit other than
- * `taken`) is a FatalError, so every file it accepts re-dumps byte
- * for byte.
+ * isa::MicroOp::wellFormed() or does not re-pack to its own bytes (a
+ * pc at or above 2^47, an address at or above 2^48, a class or size
+ * byte above 15, an address in a slot its class does not use, a flag
+ * bit other than `taken`) is a FatalError, so every file it accepts
+ * re-dumps byte for byte.
  */
 TraceBufferPtr materializeFile(const std::string &path);
 

@@ -21,6 +21,7 @@
 #include "adapt/power_model.hh"
 #include "adapt/vcc_controller.hh"
 #include "sim/adapt_analysis.hh"
+#include "sim/powercap_analysis.hh"
 #include "sim/runner.hh"
 #include "sim/simulation.hh"
 #include "sim/stats_report.hh"
@@ -419,6 +420,65 @@ TEST(AdaptOptionFuzz, MalformedExploreSpecsNameTheKey)
         EXPECT_NE(std::string(e.what()).find("explore"),
                   std::string::npos);
     }
+}
+
+/** The FatalError text @p run raises, or empty when it returns. */
+template <typename Run>
+std::string
+fatalText(Run &&run)
+{
+    try {
+        run();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(AdaptOptionFuzz, OverflowingInputsNameTheKey)
+{
+    // capfrac= is a fraction of the uncapped power: past 1 its x1000
+    // rendering can overflow.  The study rejects it before any run
+    // (the quick sizes only bound a study that wrongly starts).
+    for (const char *bad : {"capfrac=0", "capfrac=1.5", "capfrac=1e308"}) {
+        const char *argv[] = {"prog", "quick=1", "insts=2000",
+                              "warmup=1000", bad};
+        OptionMap opts = OptionMap::parse(5, argv);
+        std::ostringstream sink;
+        sim::ScenarioContext ctx(opts, sink);
+        const std::string err =
+            fatalText([&ctx] { sim::runPowercapStudy(ctx); });
+        EXPECT_NE(err.find("capfrac"), std::string::npos)
+            << bad << " -> " << err;
+    }
+
+    // A finite switchenergy= whose run total overflows: a reactive
+    // run that steps down every epoch makes four switches.
+    Simulator sim;
+    SimConfig cfg;
+    cfg.vcc = 550.0;
+    cfg.workload = "spec2006int";
+    cfg.seed = 3;
+    cfg.instructions = 20000;
+    cfg.warmupInstructions = 2000;
+    auto acfg = std::make_shared<AdaptConfig>();
+    acfg->policy = Policy::Reactive;
+    acfg->epochCycles = 1500;
+    acfg->switchCycles = 500;
+    acfg->switchEnergyAu = 1e308;
+    acfg->floorVcc = 450.0;
+    acfg->stepDownThreshold = 2.0;
+    acfg->stepUpThreshold = 3.0;
+    cfg.adapt = acfg;
+    std::string err = fatalText([&] { sim.run(cfg); });
+    EXPECT_NE(err.find("switchenergy"), std::string::npos) << err;
+
+    // Finite run totals whose sum overflows.
+    std::vector<SimResult> results(2);
+    for (SimResult &r : results)
+        r.adapt.energy.dynamic = 1e308;
+    err = fatalText([&results] { sim::aggregateAdapt(results); });
+    EXPECT_NE(err.find("switchenergy"), std::string::npos) << err;
 }
 
 TEST(ExploreController, SteadyCapViolationDemotesTheParkedPoint)

@@ -68,7 +68,7 @@ TEST(Analyzer, BranchAccounting)
         br.opClass = isa::OpClass::Branch;
         br.src1 = 1;
         br.taken = i % 2 == 0;
-        br.target = 0x400100;
+        br.setTarget(0x400100);
         ops.push_back(br);
     }
     TraceStats stats = TraceAnalyzer::analyze(bufferOf(ops), 100);

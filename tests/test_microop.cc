@@ -48,7 +48,8 @@ TEST(MicroOpTest, UnknownClassIsMalformed)
     MicroOp op = aluOp();
     op.opClass = OpClass::NumClasses;
     EXPECT_FALSE(op.wellFormed());
-    op.opClass = static_cast<OpClass>(200);
+    // The largest class the 4-bit field holds.
+    op.opClass = static_cast<OpClass>(15);
     EXPECT_FALSE(op.wellFormed());
 }
 

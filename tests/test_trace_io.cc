@@ -219,15 +219,22 @@ loadError(const std::string &path)
     return "";
 }
 
+/** Bytes before a trace file's first record: magic, version, count. */
+constexpr size_t kHeaderBytes = 8 + 4 + 8;
+
 TEST_F(TraceIoTest, RejectsUnknownOpClass)
 {
-    // An op class past the latency table's end.
-    isa::MicroOp op = isa::makeNop(0x400000);
-    op.opClass = static_cast<isa::OpClass>(200);
-    writeOps(_path, {op});
+    // An op class past the latency table's end.  An op's 4-bit class
+    // field cannot hold 200, so the byte is written into the file;
+    // the message shows it, not its low four bits (8, a Branch).
+    writeOps(_path, {isa::makeNop(0x400000)});
+    std::vector<uint8_t> bytes = slurp(_path);
+    bytes[kHeaderBytes + 32] = 200;
+    spew(_path, bytes);
     const std::string err = loadError(_path);
     EXPECT_NE(err.find(_path), std::string::npos) << err;
     EXPECT_NE(err.find("record 0 "), std::string::npos) << err;
+    EXPECT_NE(err.find("class 200,"), std::string::npos) << err;
 }
 
 TEST_F(TraceIoTest, RejectsOutOfRangeRegister)
@@ -285,7 +292,6 @@ TEST_F(TraceIoTest, RejectsAnAddressItsClassDoesNotUse)
     // An IntAlu uses neither slot; a Load uses memAddr, not target.
     const Stray strays[] = {
         {0, 16, 0x1000}, {0, 24, 0x400100}, {1, 24, 0x400100}};
-    constexpr size_t kHeaderBytes = 8 + 4 + 8;
     for (const Stray &stray : strays) {
         std::vector<uint8_t> bytes = pristine;
         putLe64(bytes.data() + kHeaderBytes +
@@ -301,17 +307,98 @@ TEST_F(TraceIoTest, RejectsAnAddressItsClassDoesNotUse)
     }
 }
 
+TEST_F(TraceIoTest, RejectsAValueTooWideForTheOp)
+{
+    // An op holds a 47-bit pc, a 48-bit address word and a 4-bit
+    // size, so a wider value would be truncated and the file would
+    // not re-dump verbatim.  The message shows the record's value.
+    isa::MicroOp load = isa::makeNop(0x400000);
+    load.opClass = isa::OpClass::Load;
+    load.dst = 4;
+    load.src1 = 3;
+    load.memAddr = 0x2000;
+    load.memSize = 8;
+    isa::MicroOp branch = isa::makeNop(0x400004);
+    branch.opClass = isa::OpClass::Branch;
+    branch.src1 = 1;
+    branch.taken = true;
+    branch.setTarget(0x400100);
+    writeOps(_path, {load, branch});
+    ASSERT_EQ(loadError(_path), "");
+    const std::vector<uint8_t> pristine = slurp(_path);
+
+    struct Wide
+    {
+        uint64_t record;
+        size_t offset; //!< 8: pc, 16: memAddr, 24: target, 36: size
+        uint64_t value;
+        const char *shown;
+    };
+    const Wide wides[] = {
+        {0, 8, 0x400000 | 1ull << 47, "pc 0x800000400000,"},
+        {0, 16, 0x2000 | 1ull << 48, "access at 0x1000000002000,"},
+        {1, 24, 0x400100 | 1ull << 48, "target 0x1000000400100,"},
+        // 24 truncates to 8, a size this load could have.
+        {0, 36, 24, "24-byte access"},
+    };
+    for (const Wide &wide : wides) {
+        std::vector<uint8_t> bytes = pristine;
+        uint8_t *field = bytes.data() + kHeaderBytes +
+                         wide.record * kTraceRecordBytes + wide.offset;
+        if (wide.offset == 36)
+            *field = static_cast<uint8_t>(wide.value);
+        else
+            putLe64(field, wide.value);
+        spew(_path, bytes);
+        const std::string err = loadError(_path);
+        const std::string record =
+            "record " + std::to_string(wide.record) + " (seqNum " +
+            std::to_string(wide.record + 1) + ")";
+        EXPECT_NE(err.find(record), std::string::npos) << err;
+        EXPECT_NE(err.find(wide.shown), std::string::npos) << err;
+    }
+}
+
+TEST_F(TraceIoTest, WidestValuesRoundTripVerbatim)
+{
+    // The largest pc and addresses an op holds load and re-dump byte
+    // for byte.
+    const uint64_t maxPc = (1ull << isa::kPcBits) - 1;
+    const uint64_t maxAddr = (1ull << isa::kAddrBits) - 1;
+    isa::MicroOp load = isa::makeNop(maxPc);
+    load.opClass = isa::OpClass::Load;
+    load.dst = isa::kNumLogicalRegs - 1;
+    load.src1 = 3;
+    load.memAddr = maxAddr - 7;
+    load.memSize = 8;
+    isa::MicroOp call = isa::makeNop(maxPc - 3);
+    call.opClass = isa::OpClass::Call;
+    call.taken = true;
+    call.setTarget(maxAddr);
+    writeOps(_path, {load, call});
+
+    TraceBufferPtr back = materializeFile(_path);
+    ASSERT_EQ(back->records(), 2u);
+    EXPECT_EQ(back->at(0).pc, maxPc);
+    EXPECT_EQ(back->at(0).memAddr, maxAddr - 7);
+    EXPECT_EQ(back->at(1).target(), maxAddr);
+    const std::string again = _path + ".again";
+    EXPECT_EQ(dumpTrace(*back, again, 2), 2u);
+    EXPECT_EQ(slurp(again), slurp(_path));
+    std::remove(again.c_str());
+}
+
 TEST_F(TraceIoTest, RejectsAFlagBitOtherThanTaken)
 {
     // Bit 0 is `taken`; any other bit would be dropped unread.
     isa::MicroOp call = isa::makeNop(0x400000);
     call.opClass = isa::OpClass::Call;
-    call.target = 0x400100;
+    call.setTarget(0x400100);
     call.taken = true;
     writeOps(_path, {call});
     ASSERT_EQ(loadError(_path), "");
     std::vector<uint8_t> bytes = slurp(_path);
-    constexpr size_t kFlagsOffset = 8 + 4 + 8 + 37;
+    constexpr size_t kFlagsOffset = kHeaderBytes + 37;
     bytes[kFlagsOffset] = 0x03;
     spew(_path, bytes);
     const std::string err = loadError(_path);
@@ -383,7 +470,6 @@ TEST_F(TraceIoTest, FuzzBitFlippedHeaderNeverCrashes)
 {
     dumpTrace(*synth("kernels", 13, 16), _path, 16);
     const std::vector<uint8_t> pristine = slurp(_path);
-    constexpr size_t kHeaderBytes = 8 + 4 + 8;
     ASSERT_GE(pristine.size(), kHeaderBytes);
 
     for (size_t byte = 0; byte < kHeaderBytes; ++byte) {
@@ -437,7 +523,6 @@ TEST_F(TraceIoTest, FuzzGarbagePayloadThrowsFatalError)
     // reproduces.
     dumpTrace(*synth("kernels", 19, 32), _path, 32);
     std::vector<uint8_t> bytes = slurp(_path);
-    constexpr size_t kHeaderBytes = 8 + 4 + 8;
     Pcg32 rng(0xfadedbeefULL);
     for (size_t i = kHeaderBytes; i < bytes.size(); ++i)
         bytes[i] = static_cast<uint8_t>(rng.next());
