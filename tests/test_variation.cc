@@ -132,6 +132,67 @@ TEST(ChipSample, StabilizationMapsNominalAtSigmaZero)
     }
 }
 
+/** Folds @p v into the FNV-1a 64 hash @p h, low byte first. */
+void
+fnv1a(uint64_t &h, uint32_t v)
+{
+    for (int b = 0; b < 4; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+TEST(ChipSample, StabilizationMapsMatchPinnedDigests)
+{
+    // Every line's N, every structure's worst and the chip worst of
+    // chips 0-31 of population seed 1 (default parameters), at each
+    // standard-sweep voltage under ForcedOn, are pinned bit for bit:
+    // a change to the draws, the multiplier or the rounding moves at
+    // least one digest.
+    static const uint64_t kPins[] = {
+        // 700 through 525 mV: every line still needs one cycle.
+        0x5fb46df2d9399c25ULL, 0x5fb46df2d9399c25ULL,
+        0x5fb46df2d9399c25ULL, 0x5fb46df2d9399c25ULL,
+        0x5fb46df2d9399c25ULL, 0x5fb46df2d9399c25ULL,
+        0x5fb46df2d9399c25ULL, 0x5fb46df2d9399c25ULL,
+        0x003784d1dcb3da96ULL, // 500 mV
+        0xf2250651fe720614ULL, // 475 mV
+        0xaf22aef9c7832071ULL, // 450 mV
+        0x180b1eb286a93615ULL, // 425 mV
+        0x27de2b5c7b351f32ULL, // 400 mV
+    };
+    sim::Simulator sim;
+    VariationModel model{VariationParams{}};
+    const ChipGeometry geom = defaultGeometry();
+    std::vector<ChipSample> chips;
+    for (uint32_t c = 0; c < 32; ++c)
+        chips.push_back(ChipSample::sample(model, 1, c, geom));
+    mechanism::IrawController controller(
+        sim.cycleTimeModel(), mechanism::IrawMode::ForcedOn);
+    const std::vector<circuit::MilliVolts> sweep =
+        circuit::standardSweep();
+    ASSERT_EQ(sweep.size(), std::size(kPins));
+    for (size_t v = 0; v < sweep.size(); ++v) {
+        const mechanism::IrawSettings settings =
+            controller.reconfigure(sweep[v]);
+        uint64_t h = 0xcbf29ce484222325ULL;
+        for (const ChipSample &chip : chips) {
+            const StabilizationMaps maps =
+                chip.stabilizationMaps(sim.cycleTimeModel(), settings);
+            ASSERT_TRUE(maps.active);
+            for (uint32_t s = 0; s < kNumStructures; ++s) {
+                ASSERT_EQ(maps.lineN[s].size(), geom.lines[s]);
+                for (uint32_t n : maps.lineN[s])
+                    fnv1a(h, n);
+                fnv1a(h, maps.structureWorst[s]);
+            }
+            fnv1a(h, maps.worst);
+        }
+        EXPECT_EQ(h, kPins[v]) << std::hex << "0x" << h << " at "
+                               << std::dec << sweep[v] << " mV";
+    }
+}
+
 TEST(ChipSample, RequiredNMonotoneAsVccFalls)
 {
     VariationModel model(params(0.08));
