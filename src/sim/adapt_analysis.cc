@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -39,8 +40,12 @@ parseAdaptConfig(ScenarioContext &ctx, adapt::Policy policy)
         cfg.capPowerAu = ctx.opts().getDouble("cap", 0.0);
     else if (hasPower)
         cfg.capPowerAu = ctx.opts().getDouble("power", 0.0);
-    fatalIf(cfg.capPowerAu < 0.0, "%s=%g must be a power >= 0 (a.u.)",
-            hasCap ? "cap" : "power", cfg.capPowerAu);
+    // Reports print the budget in a.u. x1000, so that must stay
+    // finite.
+    const double maxCap = std::numeric_limits<double>::max() / 1000.0;
+    fatalIf(cfg.capPowerAu < 0.0 || cfg.capPowerAu > maxCap,
+            "%s=%g must be a power in [0, %g] (a.u.)",
+            hasCap ? "cap" : "power", cfg.capPowerAu, maxCap);
 
     uint64_t modes = ctx.opts().getUint("modes", cfg.modeVariants);
     fatalIf(modes < 1 || modes > 2, "modes=%llu must be 1 or 2",

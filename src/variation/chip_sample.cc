@@ -46,9 +46,13 @@ stabilizationCyclesFor(double stabDelay, double multiplier,
             "stabilizationCyclesFor: non-positive cycle time");
     // Same rounding as CycleTimeModel::stabilizationCycles so a
     // multiplier of exactly 1.0 reproduces the nominal N bitwise.
-    auto n = static_cast<uint32_t>(
-        std::ceil(stabDelay * multiplier / cycleTime - 1e-9));
-    return std::max(1u, n);
+    const double n =
+        std::ceil(stabDelay * multiplier / cycleTime - 1e-9);
+    // Casting a double at or above 2^32 (or NaN) to uint32_t is
+    // undefined; such a line saturates, so its chip is inoperable.
+    if (!(n < 4294967296.0))
+        return UINT32_MAX;
+    return n < 1.0 ? 1u : static_cast<uint32_t>(n);
 }
 
 ChipSample
@@ -63,38 +67,24 @@ ChipSample::sample(const VariationModel &model,
     chip._params = model.params();
     chip._geometry = geometry;
 
-    double maxZ = -1e300;
     for (uint32_t s = 0; s < kNumStructures; ++s) {
         auto id = static_cast<StructureId>(s);
         chip._structZ[s] =
             VariationModel::structureZ(chip._chipSeed, id);
-        uint32_t lines = geometry.lines[s];
-        std::vector<double> &zs = chip._lineZ[s];
-        zs.resize(lines);
         double structMax = -1e300;
-        for (uint32_t line = 0; line < lines; ++line) {
-            double z =
-                VariationModel::lineZ(chip._chipSeed, id, line);
-            zs[line] = z;
-            structMax = std::max(structMax, z);
-        }
+        for (uint32_t line = 0; line < geometry.lines[s]; ++line)
+            structMax = std::max(
+                structMax,
+                VariationModel::lineZ(chip._chipSeed, id, line));
         chip._maxLineZ[s] = structMax;
-        maxZ = std::max(maxZ, structMax);
     }
-    chip._maxZ = maxZ;
     return chip;
 }
 
 double
-ChipSample::lineMultiplier(StructureId structure, uint32_t line,
-                           circuit::MilliVolts vcc) const
+ChipSample::maxZ() const
 {
-    uint32_t s = static_cast<uint32_t>(structure);
-    panicIf(line >= _lineZ[s].size(),
-            "ChipSample: line %u outside structure %s", line,
-            structureName(structure));
-    VariationModel model(_params);
-    return model.multiplierAt(vcc, _lineZ[s][line], _structZ[s]);
+    return *std::max_element(_maxLineZ.begin(), _maxLineZ.end());
 }
 
 double
@@ -121,15 +111,20 @@ ChipSample::stabilizationMaps(
     VariationModel var(_params);
     const double stab =
         model.sram().stabilizationDelay(settings.vcc);
+    // multiplierAt's two voltage terms, once per map: each line then
+    // costs one re-derived draw and one exp, with the same bits.
+    const double es = var.effectiveSigma(settings.vcc);
+    const double ess = var.effectiveSystematicSigma(settings.vcc);
     maps.active = true;
     for (uint32_t s = 0; s < kNumStructures; ++s) {
-        const std::vector<double> &zs = _lineZ[s];
+        auto id = static_cast<StructureId>(s);
         std::vector<uint32_t> &ns = maps.lineN[s];
-        ns.resize(zs.size());
+        ns.resize(_geometry.lines[s]);
         uint32_t structWorst = 0;
-        for (size_t line = 0; line < zs.size(); ++line) {
-            double m = var.multiplierAt(settings.vcc, zs[line],
-                                        _structZ[s]);
+        for (uint32_t line = 0; line < ns.size(); ++line) {
+            double m = std::exp(
+                es * VariationModel::lineZ(_chipSeed, id, line) +
+                ess * _structZ[s]);
             // A multiplier of exactly 1.0 (sigma = 0) must land on
             // the controller's own N, including its ForcedOn
             // fallback, so unvaried chips are bitwise nominal.
@@ -163,10 +158,12 @@ ChipSample::operableAt(const circuit::CycleTimeModel &model,
     }
     // The hardware is sized for maxStabilizationCycles, and the
     // scoreboard pattern must keep >= 1 encodable latency plus the
-    // ready bit next to the bypass and bubble sections.
+    // ready bit next to the bypass and bubble sections.  The sum is
+    // 64-bit so a saturated requirement cannot wrap.
     op.operable =
         op.requiredN <= core.maxStabilizationCycles &&
-        core.bypassLevels + op.requiredN + 2 <= core.scoreboardBits;
+        uint64_t{core.bypassLevels} + op.requiredN + 2 <=
+            core.scoreboardBits;
     return op;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * One sampled chip instance: the per-line standard-normal draws of
- * every SRAM structure, and the derived per-line stabilization-cycle
- * maps at a given operating point.
+ * One sampled chip instance: its seed and per-structure summary of the
+ * standard-normal draws of every SRAM structure, and the per-line
+ * stabilization-cycle maps it derives at a given operating point.
  *
  * A ChipSample replaces the nominal machine's single uniform N with
  * one N per physical line frame: weak lines (slow bitcells) need
@@ -25,6 +25,7 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "variation/variation_model.hh"
@@ -98,7 +99,12 @@ struct ChipOperability
     uint32_t requiredN = 0;
 };
 
-/** One Monte Carlo chip instance. */
+/**
+ * One Monte Carlo chip instance.  It keeps its seed and, per
+ * structure, the systematic draw and the largest line draw (about 200
+ * bytes); stabilizationMaps() re-derives each line's draw from the
+ * seed, so a chip never holds its thousands of per-line values.
+ */
 class ChipSample
 {
   public:
@@ -120,20 +126,10 @@ class ChipSample
     const VariationParams &params() const { return _params; }
 
     /** Largest z draw on the chip (sets the worst multiplier). */
-    double maxZ() const { return _maxZ; }
-
-    /** Delay multiplier of one line at @p vcc. */
-    double lineMultiplier(StructureId structure, uint32_t line,
-                          circuit::MilliVolts vcc) const;
+    double maxZ() const;
 
     /** Worst delay multiplier on the chip at @p vcc. */
     double maxMultiplier(circuit::MilliVolts vcc) const;
-
-    /** Raw z access for tests. */
-    double lineZAt(StructureId structure, uint32_t line) const
-    {
-        return _lineZ[static_cast<uint32_t>(structure)][line];
-    }
 
     /**
      * Per-line stabilization maps for the operating point
@@ -163,19 +159,24 @@ class ChipSample
     uint64_t _chipSeed = 0;
     VariationParams _params;
     ChipGeometry _geometry;
-    std::array<std::vector<double>, kNumStructures> _lineZ;
+    /** Systematic (per-structure) draw of each structure. */
     std::array<double, kNumStructures> _structZ{};
-    double _maxZ = 0.0;
-    /** Effective worst z per structure incl. the systematic share
-     *  weighting, cached for cheap operability scans. */
+    /** Largest line draw of each structure, kept for cheap
+     *  operability scans. */
     std::array<double, kNumStructures> _maxLineZ{};
 };
+
+// A chip stays a plain value: its per-line draws are re-derived from
+// the seed, never stored.
+static_assert(std::is_trivially_copyable_v<ChipSample>);
 
 /**
  * Stabilization cycles one line with delay multiplier @p multiplier
  * needs at cycle time @p cycleTime (a.u.) given the nominal
  * stabilization delay @p stabDelay (a.u.).  Matches the nominal
- * solver's rounding exactly so multiplier == 1 reproduces N.
+ * solver's rounding exactly so multiplier == 1 reproduces N.  A
+ * requirement above UINT32_MAX, +inf or NaN saturates to UINT32_MAX,
+ * which no hardware is sized for.
  */
 uint32_t stabilizationCyclesFor(double stabDelay, double multiplier,
                                 double cycleTime);

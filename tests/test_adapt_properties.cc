@@ -367,14 +367,19 @@ TEST(AdaptOptionFuzz, CapEdgeValues)
     EXPECT_GT(cfg.capPowerAu, 0.0);
     EXPECT_EQ(adaptParseError({"power=0.25"}, &cfg), "");
     EXPECT_DOUBLE_EQ(cfg.capPowerAu, 0.25);
+    // A huge budget is legal while its a.u. x1000 rendering is finite.
+    EXPECT_EQ(adaptParseError({"cap=1e305"}, &cfg), "");
+    EXPECT_DOUBLE_EQ(cfg.capPowerAu, 1e305);
 
     // Malformed values must name the key they arrived under.
-    for (const char *bad : {"cap=-1", "cap=nan", "cap=inf"})
+    for (const char *bad : {"cap=-1", "cap=nan", "cap=inf", "cap=1e308"})
         EXPECT_NE(adaptParseError({bad}).find("cap"),
                   std::string::npos)
             << bad;
-    EXPECT_NE(adaptParseError({"power=-0.5"}).find("power"),
-              std::string::npos);
+    for (const char *bad : {"power=-0.5", "power=inf", "power=1e308"})
+        EXPECT_NE(adaptParseError({bad}).find("power"),
+                  std::string::npos)
+            << bad;
     // Overflow (1e999) is rejected by the typed accessor itself.
     EXPECT_NE(adaptParseError({"cap=1e999"}).find("cap"),
               std::string::npos);

@@ -1,6 +1,7 @@
 /** @file Unit tests for the process-variation & yield subsystem. */
 
 #include <cstring>
+#include <limits>
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -89,10 +90,15 @@ TEST(VariationModel, SigmaAmplifiesAtLowVcc)
 
 TEST(ChipSample, SamplingIsOrderIndependent)
 {
+    sim::Simulator sim;
+    const core::CoreConfig core;
     VariationModel model(params(0.06));
     ChipGeometry geom = defaultGeometry();
+    mechanism::IrawController controller(
+        sim.cycleTimeModel(), mechanism::IrawMode::ForcedOn);
     // Sample the same population twice in opposite chip order; every
-    // chip must be identical bitwise.
+    // chip, its operability and every map it derives must be
+    // identical bitwise.
     std::vector<ChipSample> forward, backward;
     for (uint32_t c = 0; c < 6; ++c)
         forward.push_back(ChipSample::sample(model, 9, c, geom));
@@ -102,13 +108,43 @@ TEST(ChipSample, SamplingIsOrderIndependent)
         const ChipSample &a = forward[c];
         const ChipSample &b = backward[5 - c];
         ASSERT_EQ(a.chipSeed(), b.chipSeed());
-        for (uint32_t s = 0; s < kNumStructures; ++s) {
-            auto id = static_cast<StructureId>(s);
-            for (uint32_t line = 0; line < geom.lines[s];
-                 line += 17)
-                EXPECT_EQ(a.lineZAt(id, line), b.lineZAt(id, line));
+        EXPECT_EQ(a.maxZ(), b.maxZ());
+        for (circuit::MilliVolts vcc : circuit::standardSweep()) {
+            const ChipOperability oa =
+                a.operableAt(sim.cycleTimeModel(), core, vcc);
+            const ChipOperability ob =
+                b.operableAt(sim.cycleTimeModel(), core, vcc);
+            EXPECT_EQ(oa.operable, ob.operable) << vcc << " mV";
+            EXPECT_EQ(oa.requiredN, ob.requiredN) << vcc << " mV";
+            const mechanism::IrawSettings settings =
+                controller.reconfigure(vcc);
+            const StabilizationMaps ma =
+                a.stabilizationMaps(sim.cycleTimeModel(), settings);
+            const StabilizationMaps mb =
+                b.stabilizationMaps(sim.cycleTimeModel(), settings);
+            EXPECT_EQ(ma.lineN, mb.lineN) << vcc << " mV";
+            EXPECT_EQ(ma.structureWorst, mb.structureWorst);
+            EXPECT_EQ(ma.worst, mb.worst);
         }
     }
+}
+
+TEST(ChipSample, StabilizationCyclesSaturate)
+{
+    // In range, the nominal rounding: ceil, at least one cycle.
+    EXPECT_EQ(stabilizationCyclesFor(2.5, 1.0, 1.0), 3u);
+    EXPECT_EQ(stabilizationCyclesFor(0.0, 1.0, 1.0), 1u);
+    EXPECT_EQ(stabilizationCyclesFor(4294967295.0, 1.0, 1.0),
+              UINT32_MAX);
+    // A requirement no 32-bit counter holds saturates; casting it
+    // would be undefined (on x86 it came out as N = 1).
+    EXPECT_EQ(stabilizationCyclesFor(1.0, 1e81, 1.0), UINT32_MAX);
+    EXPECT_EQ(stabilizationCyclesFor(
+                  1.0, std::numeric_limits<double>::infinity(), 1.0),
+              UINT32_MAX);
+    EXPECT_EQ(stabilizationCyclesFor(
+                  1.0, std::numeric_limits<double>::quiet_NaN(), 1.0),
+              UINT32_MAX);
 }
 
 TEST(ChipSample, StabilizationMapsNominalAtSigmaZero)
@@ -417,6 +453,28 @@ TEST(ChipPopulation, SigmaZeroPopulationIsUniformNominal)
         ASSERT_TRUE(chip.yields);
         // Nominal hardware operates across the whole sweep.
         EXPECT_EQ(chip.vccmin, circuit::kMinVcc);
+    }
+}
+
+TEST(ChipPopulation, HugeSigmaYieldsNoChip)
+{
+    // At sigma = 100 the weakest line's requirement overflows any
+    // counter at every grid voltage: no chip operates anywhere.
+    sim::Simulator sim;
+    PopulationConfig cfg =
+        smallPopulation(4, SimulateMode::None);
+    cfg.params = params(100.0);
+    cfg.voltages = circuit::standardSweep();
+    PopulationResult result = ChipPopulation(sim).run(cfg);
+
+    EXPECT_EQ(result.yieldingChips, 0u);
+    for (const ChipSummary &chip : result.chips) {
+        EXPECT_FALSE(chip.yields);
+        for (const ChipAtVcc &point : chip.points) {
+            EXPECT_FALSE(point.operable) << point.vcc << " mV";
+            EXPECT_EQ(point.requiredN, UINT32_MAX)
+                << point.vcc << " mV";
+        }
     }
 }
 
