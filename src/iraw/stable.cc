@@ -28,9 +28,13 @@ StoreTable::setActiveEntries(uint32_t n)
             _capacity);
     _active = n;
     // Disabled entries are invalidated so a later reconfiguration
-    // cannot resurrect stale matches.
+    // cannot resurrect stale matches.  A shrink wraps the round-robin
+    // cursor into the active range: a store written at a slot past
+    // it would never be probed.
     if (_active == 0)
         flush();
+    else
+        _next %= _active;
 }
 
 void

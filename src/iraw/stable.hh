@@ -112,7 +112,7 @@ class StoreTable
     uint32_t _lineBytes = 0;
     uint32_t _numSets = 0;
     uint32_t _active = 0;
-    uint32_t _next = 0; //!< round-robin replacement cursor
+    uint32_t _next = 0; //!< round-robin cursor, < _active if enabled
     std::vector<Entry> _entries;
 
     uint64_t _probes = 0;

@@ -105,6 +105,22 @@ TEST(StoreTableTest, VccReconfigurationDisablesEntries)
     EXPECT_THROW(t.setActiveEntries(5), FatalError);
 }
 
+TEST(StoreTableTest, ShrinkKeepsTheNextStoreProbed)
+{
+    // Shrinking the active entries must wrap the round-robin cursor
+    // into the new range: a store written at a slot past it would
+    // never be probed, and a load inside its window not replayed.
+    StoreTable t(4, 64, 64);
+    t.setActiveEntries(3);
+    t.noteStore(0x1000, 4, 10);
+    t.noteStore(0x2000, 4, 11); // cursor now at slot 2
+    t.setActiveEntries(2);
+    t.noteStore(0x3000, 8, 20);
+    auto res = t.probe(0x3000, 8, 21, 2);
+    EXPECT_EQ(res.match, StableMatch::Full);
+    EXPECT_EQ(res.replayStores, 1u);
+}
+
 TEST(StoreTableTest, DisabledTableIgnoresStores)
 {
     StoreTable t(4, 64, 64);
