@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "fnv1a.hh"
 #include "iraw/ready_pattern.hh"
 
 namespace iraw {
@@ -161,6 +162,52 @@ INSTANTIATE_TEST_SUITE_P(
                       PatternCase{8, 4, 1, 2}, PatternCase{12, 5, 2, 3},
                       PatternCase{8, 1, 1, 0}, PatternCase{8, 6, 0, 0},
                       PatternCase{16, 9, 3, 2}));
+
+TEST(ReadyPattern, LutMatchesPinnedDigest)
+{
+    // Every encodable (n, latency) pair up to n = kMaxPatternBits + 1
+    // and every encodable baseline latency, across widths, bypass
+    // depths and provisioned maxima: table hits, the slow path past
+    // the provisioned maximum and empty rows.  One table is rebuilt
+    // for every configuration, as the scoreboard does, so a row left
+    // from an earlier build shows.  Three unencodable lookups per
+    // build and an unbuilt table must still fail through the checked
+    // path (folded as a marker), so a table cannot mask a
+    // misconfiguration.
+    Fnv1a h;
+    auto fold = [&h](auto lookup) {
+        try {
+            h.add(lookup());
+        } catch (const FatalError &) {
+            h.add(~0ULL);
+        }
+    };
+    const ReadyPatternLut unbuilt;
+    h.add(unbuilt.empty());
+    h.add(unbuilt.maxStabilization());
+    fold([&] { return unbuilt.producer(0, 0); });
+    ReadyPatternLut lut;
+    for (uint32_t bits : {31u, 16u, 8u, 5u, 3u, 2u}) {
+        for (uint32_t bypass : {0u, 1u, 2u}) {
+            for (uint32_t maxN : {40u, 3u, 0u}) {
+                lut.build(bits, bypass, maxN);
+                h.add(lut.empty());
+                h.add(lut.maxStabilization());
+                for (uint32_t n = 0; n < kMaxPatternBits + 2; ++n)
+                    for (uint32_t lat = 0; lat + bypass + n < bits;
+                         ++lat)
+                        h.add(lut.producer(n, lat));
+                for (uint32_t lat = 0; lat < bits; ++lat)
+                    h.add(lut.baseline(lat));
+                fold([&] { return lut.producer(0, bits); });
+                fold([&] { return lut.producer(bits, 0); });
+                fold([&] { return lut.baseline(bits); });
+            }
+        }
+    }
+    EXPECT_EQ(h.value(), 0xe9d5c7627f1615b6ULL)
+        << std::hex << "0x" << h.value();
+}
 
 } // namespace
 } // namespace mechanism

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "fnv1a.hh"
 #include "iraw/stable.hh"
 
 namespace iraw {
@@ -148,6 +150,44 @@ TEST(StoreTableTest, GeometryValidation)
     EXPECT_THROW(StoreTable(0, 64, 64), FatalError);
     EXPECT_THROW(StoreTable(2, 60, 64), FatalError);
     EXPECT_THROW(StoreTable(2, 64, 60), FatalError);
+}
+
+TEST(StoreTableTest, RandomOpsMatchPinnedDigest)
+{
+    // Stores, probes with windows 0-6, flushes and active-entry
+    // counts that grow and shrink (0 included), over 256 lines in 64
+    // sets so full, set-only and no matches all occur, pinned bit for
+    // bit.  A few stores are noted behind the newest one.
+    Pcg32 rng(31);
+    StoreTable t(12, 64, 64);
+    t.setActiveEntries(4);
+    Fnv1a h;
+    uint64_t now = 1000;
+    for (int i = 0; i < 200000; ++i) {
+        now += rng.below(3);
+        const uint32_t op = rng.below(100);
+        const auto size = static_cast<uint8_t>(1u << rng.below(4));
+        const uint64_t addr = 0x10000 + rng.below(256) * 64 +
+                              (rng.below(64) & ~(size - 1u));
+        if (op == 0) {
+            t.setActiveEntries(rng.below(13));
+        } else if (op == 1) {
+            t.flush();
+        } else if (op < 35) {
+            t.noteStore(addr, size, op < 4 ? now - rng.below(8) : now);
+        } else {
+            const StableProbeResult r =
+                t.probe(addr, size, now + rng.below(4), rng.below(7));
+            h.add(static_cast<uint64_t>(r.match));
+            h.add(r.replayStores);
+        }
+    }
+    h.add(t.probes());
+    h.add(t.fullMatches());
+    h.add(t.setMatches());
+    h.add(t.storesTracked());
+    EXPECT_EQ(h.value(), 0x63a871730c9d9902ULL)
+        << std::hex << "0x" << h.value();
 }
 
 } // namespace

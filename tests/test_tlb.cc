@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "fnv1a.hh"
 #include "memory/tlb.hh"
 
 namespace iraw {
@@ -76,6 +78,37 @@ TEST(TlbTest, Validation)
 TEST(TlbTest, TotalBitsPositive)
 {
     EXPECT_GT(smallTlb().totalBits(), 0u);
+}
+
+TEST(TlbTest, RandomOpsMatchPinnedDigest)
+{
+    // Lookups over a hot set of pages and a long tail, a fill after
+    // every miss and a few racing refills of a present page, on a
+    // 32-entry TLB with 4 KB pages and a 5-entry one with 3,000-byte
+    // pages: every hit, every returned slot and both counters are
+    // pinned bit for bit, so the victim order cannot drift.
+    Fnv1a h;
+    for (const auto &[entries, pageBytes] :
+         {std::pair<uint32_t, uint32_t>{32, 4096}, {5, 3000}}) {
+        TlbParams p;
+        p.entries = entries;
+        p.pageBytes = pageBytes;
+        Tlb t(p);
+        Pcg32 rng(31);
+        for (int i = 0; i < 100000; ++i) {
+            const uint64_t page =
+                rng.chance(0.8) ? rng.below(24) : rng.below(200);
+            const uint64_t addr = page * pageBytes + rng.below(pageBytes);
+            const bool hit = t.lookup(addr);
+            h.add(hit);
+            if (!hit || rng.chance(0.01))
+                h.add(t.fill(addr));
+        }
+        h.add(t.accesses());
+        h.add(t.misses());
+    }
+    EXPECT_EQ(h.value(), 0xa1eb47ba4d5b3095ULL)
+        << std::hex << "0x" << h.value();
 }
 
 } // namespace
