@@ -45,28 +45,28 @@ ReadyPatternLut::build(uint32_t bits, uint32_t bypassLevels,
     fatalIf(bits < 2 || bits > kMaxPatternBits,
             "ReadyPatternLut: width %u outside [2, %u]", bits,
             kMaxPatternBits);
+    _built = true;
     _bits = bits;
     _bypassLevels = bypassLevels;
-    _producer.assign(maxStabilization + 1, {});
-    _baseline.clear();
+    _maxStabilization = maxStabilization;
 
-    for (uint32_t n = 0; n <= maxStabilization; ++n) {
-        if (bypassLevels + n + 1 >= bits)
-            continue; // no encodable latency at this N
+    for (uint32_t n = 0; n < kMaxPatternBits; ++n) {
+        _producerLen[n] = 0;
+        if (n > maxStabilization || bypassLevels + n + 1 >= bits)
+            continue; // not provisioned, or no encodable latency
         uint32_t maxLatency = bits - 1 - bypassLevels - n;
-        std::vector<ReadyPattern> &row = _producer[n];
-        row.reserve(maxLatency + 1);
         for (uint32_t latency = 0; latency <= maxLatency; ++latency)
-            row.push_back(
-                buildReadyPattern(bits, latency, bypassLevels, n));
+            _producer[n][latency] =
+                buildReadyPattern(bits, latency, bypassLevels, n);
+        _producerLen[n] = static_cast<uint8_t>(maxLatency + 1);
     }
 
+    _baselineLen = 0;
     if (bypassLevels + 1 < bits) {
         uint32_t maxLatency = bits - 1 - bypassLevels;
-        _baseline.reserve(maxLatency + 1);
         for (uint32_t latency = 0; latency <= maxLatency; ++latency)
-            _baseline.push_back(
-                buildBaselinePattern(bits, latency));
+            _baseline[latency] = buildBaselinePattern(bits, latency);
+        _baselineLen = static_cast<uint8_t>(maxLatency + 1);
     }
 }
 

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace iraw {
 namespace mechanism {
@@ -117,8 +116,7 @@ class ReadyPatternLut
     ReadyPattern
     producer(uint32_t n, uint32_t latency) const
     {
-        if (n < _producer.size() &&
-            latency < _producer[n].size())
+        if (n < kMaxPatternBits && latency < _producerLen[n])
             return _producer[n][latency];
         // Degenerate configuration: take the checked slow path so
         // the misconfiguration is reported, not masked.
@@ -129,24 +127,25 @@ class ReadyPatternLut
     ReadyPattern
     baseline(uint32_t latency) const
     {
-        if (latency < _baseline.size())
+        if (latency < _baselineLen)
             return _baseline[latency];
         return buildBaselinePattern(_bits, latency);
     }
 
-    bool empty() const { return _producer.empty(); }
-    uint32_t maxStabilization() const
-    {
-        return _producer.empty()
-                   ? 0
-                   : static_cast<uint32_t>(_producer.size()) - 1;
-    }
+    bool empty() const { return !_built; }
+    uint32_t maxStabilization() const { return _maxStabilization; }
 
   private:
+    // An encodable pattern has fewer than kMaxPatternBits latency
+    // and stabilization bits, so a fixed table holds every row.
+    bool _built = false;
     uint32_t _bits = 0;
     uint32_t _bypassLevels = 0;
-    std::vector<std::vector<ReadyPattern>> _producer; //!< [n][lat]
-    std::vector<ReadyPattern> _baseline;              //!< [lat]
+    uint32_t _maxStabilization = 0;
+    uint8_t _producerLen[kMaxPatternBits] = {}; //!< latencies per n
+    uint8_t _baselineLen = 0;
+    ReadyPattern _producer[kMaxPatternBits][kMaxPatternBits] = {};
+    ReadyPattern _baseline[kMaxPatternBits] = {};
 };
 
 } // namespace mechanism

@@ -63,6 +63,7 @@ class IrawPortGuard
         if (_n == 0 || n == 0)
             return;
         _windows.push_back({cycle, n});
+        _lastEnd = std::max(_lastEnd, cycle + n);
         ++_writes;
     }
 
@@ -70,7 +71,7 @@ class IrawPortGuard
     bool
     blocked(Cycle cycle) const
     {
-        if (_n == 0)
+        if (_n == 0 || cycle > _lastEnd)
             return false;
         for (const Window &w : _windows)
             if (w.cycle < cycle && cycle <= w.cycle + w.n)
@@ -88,6 +89,15 @@ class IrawPortGuard
     {
         if (_n == 0)
             return cycle;
+        // The common case: past every window noted so far, nothing
+        // blocks.  The prune is observable (requests do not arrive in
+        // cycle order, and a dropped window no longer blocks an
+        // earlier request), so do what it would do here: drop all.
+        if (cycle > _lastEnd) {
+            if (_windows.size() >= kPruneSize)
+                _windows.clear();
+            return cycle;
+        }
         prune(cycle);
         Cycle granted = cycle;
         bool moved = true;
@@ -120,11 +130,14 @@ class IrawPortGuard
         uint32_t n = 0;
     };
 
-    /** Drop windows that ended well before @p cycle. */
+    /** The prune runs once this many windows are noted. */
+    static constexpr size_t kPruneSize = 16;
+
+    /** Drop windows that ended before @p cycle. */
     void
     prune(Cycle cycle)
     {
-        if (_windows.size() < 16)
+        if (_windows.size() < kPruneSize)
             return;
         _windows.erase(
             std::remove_if(_windows.begin(), _windows.end(),
@@ -137,6 +150,7 @@ class IrawPortGuard
     std::string _name;
     uint32_t _n = 0;
     std::vector<Window> _windows;
+    Cycle _lastEnd = 0; //!< largest window end ever noted
     uint64_t _writes = 0;
     uint64_t _stallCycles = 0;
     uint64_t _stallEvents = 0;

@@ -15,7 +15,7 @@
 #define IRAW_PREDICTOR_IRAW_CORRUPTION_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace iraw {
 namespace predictor {
@@ -24,8 +24,13 @@ namespace predictor {
 class CorruptionTracker
 {
   public:
-    explicit CorruptionTracker(uint32_t stabilizationCycles = 1)
-        : _n(stabilizationCycles)
+    /**
+     * @param entries  predictor entries to track (the table grows if
+     *                 a higher entry index flips)
+     */
+    explicit CorruptionTracker(uint32_t stabilizationCycles = 1,
+                               uint32_t entries = 0)
+        : _n(stabilizationCycles), _lastFlip(entries, kNeverFlipped)
     {}
 
     void setStabilizationCycles(uint32_t n) { _n = n; }
@@ -42,8 +47,11 @@ class CorruptionTracker
     {
         if (_n == 0)
             return;
-        if (flippedDirectionBit)
+        if (flippedDirectionBit) {
+            if (entry >= _lastFlip.size())
+                _lastFlip.resize(entry + 1, kNeverFlipped);
             _lastFlip[entry] = cycle;
+        }
         ++_updates;
     }
 
@@ -53,11 +61,11 @@ class CorruptionTracker
     noteRead(uint32_t entry, uint64_t cycle)
     {
         ++_reads;
-        if (_n == 0)
+        if (_n == 0 || entry >= _lastFlip.size())
             return false;
-        auto it = _lastFlip.find(entry);
-        if (it != _lastFlip.end() && cycle <= it->second + _n &&
-            cycle > it->second) {
+        // kNeverFlipped lies past every cycle, so it never conflicts.
+        const uint64_t flip = _lastFlip[entry];
+        if (cycle > flip && cycle - flip <= _n) {
             ++_conflicts;
             return true;
         }
@@ -77,8 +85,11 @@ class CorruptionTracker
     }
 
   private:
+    static constexpr uint64_t kNeverFlipped = UINT64_MAX;
+
     uint32_t _n = 0;
-    std::unordered_map<uint32_t, uint64_t> _lastFlip;
+    /** Per entry, the cycle of its last direction-bit flip. */
+    std::vector<uint64_t> _lastFlip;
     uint64_t _reads = 0;
     uint64_t _updates = 0;
     uint64_t _conflicts = 0;
