@@ -1,10 +1,10 @@
 /**
  * @file
- * FNV-1a 64 digest for the structure pins: a pin drives one
- * structure with a seeded random sequence of operations, folds every
- * return value and counter into one digest, and compares it with a
- * constant recorded before the structure was last rewritten.  Any
- * changed value, anywhere in the sequence, moves the digest.
+ * FNV-1a 64, the digest of every pin test: a pin drives one
+ * component (a trace generator, a chip's maps, an IRAW structure),
+ * folds every value it produces into one digest, and compares it
+ * with a constant recorded before the component was last rewritten.
+ * Any changed value, anywhere in the sequence, moves the digest.
  */
 
 #ifndef IRAW_TESTS_FNV1A_HH
@@ -14,18 +14,23 @@
 
 namespace iraw {
 
-/** Running FNV-1a 64 hash over 64-bit values. */
+/** Running FNV-1a 64 hash over bytes, values folded low byte first. */
 class Fnv1a
 {
   public:
-    /** Fold the eight bytes of @p v, low byte first. */
     void
-    add(uint64_t v)
+    addByte(uint8_t b)
     {
-        for (int b = 0; b < 8; ++b) {
-            _h ^= (v >> (8 * b)) & 0xffu;
-            _h *= 0x100000001b3ULL;
-        }
+        _h ^= b;
+        _h *= 0x100000001b3ULL;
+    }
+
+    /** Fold the low @p bytes bytes of @p v, low byte first. */
+    void
+    add(uint64_t v, int bytes = 8)
+    {
+        for (int b = 0; b < bytes; ++b)
+            addByte(static_cast<uint8_t>(v >> (8 * b)));
     }
 
     uint64_t value() const { return _h; }

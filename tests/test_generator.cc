@@ -6,6 +6,7 @@
 #include <iterator>
 #include <map>
 
+#include "fnv1a.hh"
 #include "sim/workload_suite.hh"
 #include "trace/analyzer.hh"
 #include "trace/generator.hh"
@@ -170,16 +171,14 @@ TEST(Generator, BranchesHavePcCorrelatedBias)
 uint64_t
 packedDigest(const TraceBuffer &buffer)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
+    Fnv1a h;
     uint8_t rec[kTraceRecordBytes];
     for (uint64_t i = 0; i < buffer.records(); ++i) {
         packRecord(buffer.seqNum(i), buffer.ops()[i], rec);
-        for (uint8_t b : rec) {
-            h ^= b;
-            h *= 0x100000001b3ULL;
-        }
+        for (uint8_t b : rec)
+            h.addByte(b);
     }
-    return h;
+    return h.value();
 }
 
 TEST(Generator, SuiteTracesMatchPinnedDigests)

@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "core/pipeline.hh"
 #include "fields_equal.hh"
+#include "fnv1a.hh"
 #include "memory/iraw_guard.hh"
 #include "sim/simulation.hh"
 #include "variation/population.hh"
@@ -168,16 +169,6 @@ TEST(ChipSample, StabilizationMapsNominalAtSigmaZero)
     }
 }
 
-/** Folds @p v into the FNV-1a 64 hash @p h, low byte first. */
-void
-fnv1a(uint64_t &h, uint32_t v)
-{
-    for (int b = 0; b < 4; ++b) {
-        h ^= (v >> (8 * b)) & 0xffu;
-        h *= 0x100000001b3ULL;
-    }
-}
-
 TEST(ChipSample, StabilizationMapsMatchPinnedDigests)
 {
     // Every line's N, every structure's worst and the chip worst of
@@ -211,7 +202,7 @@ TEST(ChipSample, StabilizationMapsMatchPinnedDigests)
     for (size_t v = 0; v < sweep.size(); ++v) {
         const mechanism::IrawSettings settings =
             controller.reconfigure(sweep[v]);
-        uint64_t h = 0xcbf29ce484222325ULL;
+        Fnv1a h;
         for (const ChipSample &chip : chips) {
             const StabilizationMaps maps =
                 chip.stabilizationMaps(sim.cycleTimeModel(), settings);
@@ -219,13 +210,14 @@ TEST(ChipSample, StabilizationMapsMatchPinnedDigests)
             for (uint32_t s = 0; s < kNumStructures; ++s) {
                 ASSERT_EQ(maps.lineN[s].size(), geom.lines[s]);
                 for (uint32_t n : maps.lineN[s])
-                    fnv1a(h, n);
-                fnv1a(h, maps.structureWorst[s]);
+                    h.add(n, 4);
+                h.add(maps.structureWorst[s], 4);
             }
-            fnv1a(h, maps.worst);
+            h.add(maps.worst, 4);
         }
-        EXPECT_EQ(h, kPins[v]) << std::hex << "0x" << h << " at "
-                               << std::dec << sweep[v] << " mV";
+        EXPECT_EQ(h.value(), kPins[v])
+            << std::hex << "0x" << h.value() << " at " << std::dec
+            << sweep[v] << " mV";
     }
 }
 
