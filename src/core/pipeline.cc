@@ -46,8 +46,7 @@ Pipeline::Pipeline(const CoreConfig &cfg,
               hierarchy.config().dl0.numSets()),
       _bp(cfg.predictorKind, cfg.predictorEntries,
           cfg.predictorHistoryBits),
-      _rsb(cfg.rsbDepth), _bpCorruption(1, _bp.numEntries()),
-      _rng(cfg.corruptionSeed)
+      _rsb(cfg.rsbDepth), _rng(cfg.corruptionSeed)
 {
     _cfg.validate();
     const uint64_t il0Line = hierarchy.config().il0.lineBytes;

@@ -20,20 +20,11 @@ Scoreboard::Scoreboard(uint32_t bits, uint32_t bypassLevels)
             "Scoreboard: %u bypass levels leave no room in %u bits",
             bypassLevels, bits);
     _ones = buildBaselinePattern(_bits, 0);
-    rebuildPatternLut();
+    _lut.build(_bits, _bypassLevels);
     // Every register starts quiescent (all ones).
     _regs.assign(isa::kNumLogicalRegs, _ones);
     _shadow.assign(isa::kNumLogicalRegs, _ones);
     _setCycle.assign(isa::kNumLogicalRegs, 0);
-}
-
-void
-Scoreboard::rebuildPatternLut()
-{
-    // Valid producer latencies are [0, maxEncodableLatency]; N
-    // values that leave no encodable latency get empty rows and
-    // setProducer()'s checked path reports the misconfiguration.
-    _lut.build(_bits, _bypassLevels, _n);
 }
 
 void
@@ -49,7 +40,6 @@ Scoreboard::setStabilizationMap(const std::vector<uint32_t> &perRegN,
                 n, worst);
     _n = worst;
     _lineN = perRegN;
-    rebuildPatternLut();
 }
 
 ReadyPattern

@@ -57,7 +57,6 @@ class Scoreboard
     {
         _n = n;
         _lineN.clear();
-        rebuildPatternLut();
     }
     uint32_t stabilizationCycles() const { return _n; }
 
@@ -132,9 +131,6 @@ class Scoreboard
     mechanism::ReadyPattern rawPattern(isa::RegId reg) const;
 
   private:
-    /** Rebuild the per-latency pattern tables for the current N. */
-    void rebuildPatternLut();
-
     /** Shifts applied so far to @p reg's stored pattern. */
     uint64_t
     age(isa::RegId reg) const
@@ -187,8 +183,8 @@ class Scoreboard
     mechanism::ReadyPattern _ones = 0; //!< the quiescent pattern
 
     // buildReadyPattern() per producer was measurable in the issue
-    // loop; both pattern families are precomputed per (N, latency)
-    // and rebuilt when N (or the per-register map) changes.
+    // loop; both pattern families are precomputed once for every
+    // encodable (N, latency), so a change of N rebuilds nothing.
     mechanism::ReadyPatternLut _lut;
 };
 

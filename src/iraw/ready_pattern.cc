@@ -39,21 +39,18 @@ buildReadyPattern(uint32_t bits, uint32_t latency,
 }
 
 void
-ReadyPatternLut::build(uint32_t bits, uint32_t bypassLevels,
-                       uint32_t maxStabilization)
+ReadyPatternLut::build(uint32_t bits, uint32_t bypassLevels)
 {
     fatalIf(bits < 2 || bits > kMaxPatternBits,
             "ReadyPatternLut: width %u outside [2, %u]", bits,
             kMaxPatternBits);
-    _built = true;
     _bits = bits;
     _bypassLevels = bypassLevels;
-    _maxStabilization = maxStabilization;
 
     for (uint32_t n = 0; n < kMaxPatternBits; ++n) {
         _producerLen[n] = 0;
-        if (n > maxStabilization || bypassLevels + n + 1 >= bits)
-            continue; // not provisioned, or no encodable latency
+        if (bypassLevels + n >= bits)
+            continue; // no encodable latency at this N
         uint32_t maxLatency = bits - 1 - bypassLevels - n;
         for (uint32_t latency = 0; latency <= maxLatency; ++latency)
             _producer[n][latency] =

@@ -87,8 +87,8 @@ patternQuiescent(ReadyPattern p, uint32_t bits)
 std::string patternToString(ReadyPattern p, uint32_t bits);
 
 /**
- * Precomputed pattern tables for every (stabilization, latency)
- * pair up to a provisioned maximum N.
+ * Precomputed pattern tables for every encodable (stabilization,
+ * latency) pair.
  *
  * The nominal machine needs one table per latency at the single
  * per-Vcc N; under process variation each register carries its own
@@ -103,14 +103,13 @@ class ReadyPatternLut
     ReadyPatternLut() = default;
 
     /**
-     * Build tables for all stabilization counts in
-     * [0, maxStabilization] and every latency each count can encode
-     * (latency + bypassLevels + N < bits).  Counts that leave no
-     * encodable latency get an empty row; producer() then reports
-     * the misconfiguration through buildReadyPattern's own check.
+     * Build tables for every stabilization count and every latency
+     * it can encode (latency + bypassLevels + N < bits).  Counts
+     * that leave no encodable latency get an empty row; producer()
+     * then reports the misconfiguration through buildReadyPattern's
+     * own check.
      */
-    void build(uint32_t bits, uint32_t bypassLevels,
-               uint32_t maxStabilization);
+    void build(uint32_t bits, uint32_t bypassLevels);
 
     /** Producer pattern for (stabilization @p n, @p latency). */
     ReadyPattern
@@ -132,16 +131,11 @@ class ReadyPatternLut
         return buildBaselinePattern(_bits, latency);
     }
 
-    bool empty() const { return !_built; }
-    uint32_t maxStabilization() const { return _maxStabilization; }
-
   private:
     // An encodable pattern has fewer than kMaxPatternBits latency
     // and stabilization bits, so a fixed table holds every row.
-    bool _built = false;
     uint32_t _bits = 0;
     uint32_t _bypassLevels = 0;
-    uint32_t _maxStabilization = 0;
     uint8_t _producerLen[kMaxPatternBits] = {}; //!< latencies per n
     uint8_t _baselineLen = 0;
     ReadyPattern _producer[kMaxPatternBits][kMaxPatternBits] = {};

@@ -10,14 +10,13 @@ namespace mechanism {
 
 StoreTable::StoreTable(uint32_t maxEntries, uint32_t lineBytes,
                        uint32_t numSets)
-    : _capacity(maxEntries), _numSets(numSets)
+    : _capacity(maxEntries), _lineBytes(lineBytes), _numSets(numSets)
 {
     fatalIf(maxEntries == 0, "StoreTable: needs >= 1 entry");
     fatalIf(!isPowerOf2(lineBytes),
             "StoreTable: lineBytes must be a power of two");
     fatalIf(!isPowerOf2(numSets),
             "StoreTable: numSets must be a power of two");
-    _lineShift = floorLog2(lineBytes);
     _entries.assign(maxEntries, Entry{});
 }
 
@@ -49,15 +48,13 @@ StoreTable::noteStore(uint64_t addr, uint8_t size, uint64_t cycle)
     slot.addr = addr;
     slot.size = size;
     slot.writeCycle = cycle;
-    _newestWrite = std::max(_newestWrite, cycle);
-    if (++_next == _active)
-        _next = 0;
+    _next = (_next + 1) % _active;
 }
 
 uint32_t
 StoreTable::setOf(uint64_t addr) const
 {
-    return static_cast<uint32_t>((addr >> _lineShift) &
+    return static_cast<uint32_t>((addr / _lineBytes) &
                                  (_numSets - 1));
 }
 
@@ -69,10 +66,6 @@ StoreTable::probe(uint64_t addr, uint8_t size, uint64_t cycle,
     if (_active == 0 || window == 0)
         return res;
     ++_probes;
-    // The common case: past the newest store's window, every entry's
-    // window has closed.
-    if (cycle > _newestWrite + window)
-        return res;
 
     uint32_t loadSet = setOf(addr);
     uint64_t loadLo = addr;
@@ -82,9 +75,8 @@ StoreTable::probe(uint64_t addr, uint8_t size, uint64_t cycle,
     // counts "from the oldest matching entry onwards" (Sec. 4.4).
     int32_t firstMatch = -1;
     bool sawFull = false;
-    uint32_t idx = _next; // oldest first
-    for (uint32_t i = 0; i < _active;
-         ++i, idx = idx + 1 == _active ? 0 : idx + 1) {
+    for (uint32_t i = 0; i < _active; ++i) {
+        uint32_t idx = (_next + i) % _active; // oldest first
         const Entry &entry = _entries[idx];
         if (!entry.valid)
             continue;

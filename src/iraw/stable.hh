@@ -109,12 +109,11 @@ class StoreTable
     uint32_t setOf(uint64_t addr) const;
 
     uint32_t _capacity = 0;
-    uint32_t _lineShift = 0; //!< log2(DL0 line bytes)
+    uint32_t _lineBytes = 0;
     uint32_t _numSets = 0;
     uint32_t _active = 0;
     uint32_t _next = 0; //!< round-robin cursor, < _active if enabled
     std::vector<Entry> _entries;
-    uint64_t _newestWrite = 0; //!< latest store cycle ever noted
 
     uint64_t _probes = 0;
     uint64_t _fullMatches = 0;

@@ -24,13 +24,8 @@ namespace predictor {
 class CorruptionTracker
 {
   public:
-    /**
-     * @param entries  predictor entries to track (the table grows if
-     *                 a higher entry index flips)
-     */
-    explicit CorruptionTracker(uint32_t stabilizationCycles = 1,
-                               uint32_t entries = 0)
-        : _n(stabilizationCycles), _lastFlip(entries, kNeverFlipped)
+    explicit CorruptionTracker(uint32_t stabilizationCycles = 1)
+        : _n(stabilizationCycles)
     {}
 
     void setStabilizationCycles(uint32_t n) { _n = n; }
@@ -49,7 +44,7 @@ class CorruptionTracker
             return;
         if (flippedDirectionBit) {
             if (entry >= _lastFlip.size())
-                _lastFlip.resize(entry + 1, kNeverFlipped);
+                _lastFlip.resize(entry + 1, UINT64_MAX);
             _lastFlip[entry] = cycle;
         }
         ++_updates;
@@ -63,7 +58,6 @@ class CorruptionTracker
         ++_reads;
         if (_n == 0 || entry >= _lastFlip.size())
             return false;
-        // kNeverFlipped lies past every cycle, so it never conflicts.
         const uint64_t flip = _lastFlip[entry];
         if (cycle > flip && cycle - flip <= _n) {
             ++_conflicts;
@@ -85,11 +79,8 @@ class CorruptionTracker
     }
 
   private:
-    static constexpr uint64_t kNeverFlipped = UINT64_MAX;
-
     uint32_t _n = 0;
-    /** Per entry, the cycle of its last direction-bit flip. */
-    std::vector<uint64_t> _lastFlip;
+    std::vector<uint64_t> _lastFlip; //!< UINT64_MAX: never flipped
     uint64_t _reads = 0;
     uint64_t _updates = 0;
     uint64_t _conflicts = 0;
