@@ -15,7 +15,7 @@
 #define IRAW_PREDICTOR_IRAW_CORRUPTION_HH
 
 #include <cstdint>
-#include <vector>
+#include <unordered_map>
 
 namespace iraw {
 namespace predictor {
@@ -42,11 +42,8 @@ class CorruptionTracker
     {
         if (_n == 0)
             return;
-        if (flippedDirectionBit) {
-            if (entry >= _lastFlip.size())
-                _lastFlip.resize(entry + 1, UINT64_MAX);
+        if (flippedDirectionBit)
             _lastFlip[entry] = cycle;
-        }
         ++_updates;
     }
 
@@ -56,10 +53,11 @@ class CorruptionTracker
     noteRead(uint32_t entry, uint64_t cycle)
     {
         ++_reads;
-        if (_n == 0 || entry >= _lastFlip.size())
+        if (_n == 0)
             return false;
-        const uint64_t flip = _lastFlip[entry];
-        if (cycle > flip && cycle - flip <= _n) {
+        auto it = _lastFlip.find(entry);
+        if (it != _lastFlip.end() && cycle <= it->second + _n &&
+            cycle > it->second) {
             ++_conflicts;
             return true;
         }
@@ -80,7 +78,7 @@ class CorruptionTracker
 
   private:
     uint32_t _n = 0;
-    std::vector<uint64_t> _lastFlip; //!< UINT64_MAX: never flipped
+    std::unordered_map<uint32_t, uint64_t> _lastFlip;
     uint64_t _reads = 0;
     uint64_t _updates = 0;
     uint64_t _conflicts = 0;
