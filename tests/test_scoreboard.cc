@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "core/core_config.hh"
 #include "core/scoreboard.hh"
+#include "fnv1a.hh"
 
 namespace iraw {
 namespace core {
@@ -150,6 +157,154 @@ TEST(ScoreboardTest, ConstructionValidation)
 {
     EXPECT_THROW(Scoreboard(3, 1), FatalError);
     EXPECT_THROW(Scoreboard(8, 7), FatalError);
+}
+
+TEST(CoreConfig, RejectsNarrowScoreboard)
+{
+    // A 1-cycle producer's Figure 8 pattern needs its latency bit,
+    // the bypass ones, N zeros and one trailing ready bit:
+    // bypass + maxN + 2 bits.
+    CoreConfig c;
+    c.bypassLevels = 1;
+    c.maxStabilizationCycles = 5;
+    EXPECT_NO_THROW(c.validate());
+    c.maxStabilizationCycles = 6;
+    EXPECT_THROW(c.validate(), FatalError);
+    c.bypassLevels = 4;
+    c.maxStabilizationCycles = 2;
+    EXPECT_NO_THROW(c.validate());
+    c.maxStabilizationCycles = 3;
+    EXPECT_THROW(c.validate(), FatalError);
+    c.bypassLevels = 7;
+    c.maxStabilizationCycles = 0;
+    EXPECT_THROW(c.validate(), FatalError);
+    c = CoreConfig{};
+    c.scoreboardBits = 3;
+    c.maxStabilizationCycles = 0;
+    EXPECT_THROW(c.validate(), FatalError);
+}
+
+/** The MSB of Figure 8 pattern @p p after @p shifts shifts. */
+bool
+readyAfter(mechanism::ReadyPattern p, uint32_t bits, uint64_t shifts)
+{
+    for (uint64_t s = 0; s < shifts && s < bits; ++s)
+        p = mechanism::shiftPattern(p, bits);
+    return mechanism::patternReady(p, bits);
+}
+
+TEST(ScoreboardTest, MatchesFigure8Patterns)
+{
+    // Every width, bypass depth and N the core accepts, and every
+    // latency the B-bit shift registers encode plus three past it.
+    // At every age until the register is stable, isReady reads the
+    // MSB of the shifted Figure 8 pattern and isReadyShadow that of
+    // the conventional one.  A latency past the registers' reach
+    // reads not-ready until its value arrives, then as the
+    // latency-0 pattern.
+    const isa::RegId reg = 7;
+    uint64_t checks = 0;
+    std::string firstMismatch;
+    for (uint32_t bits : {4u, 8u, 12u, 24u}) {
+        for (uint32_t bypass = 1; bypass <= 4 && bypass + 3 <= bits;
+             ++bypass) {
+            Scoreboard sb(bits, bypass);
+            uint64_t now = 0;
+            for (uint32_t n = 0; bypass + n + 2 <= bits; ++n) {
+                sb.setStabilizationCycles(n);
+                const uint32_t reach = bits - 1 - bypass - n;
+                for (uint32_t lat = 1; lat <= reach + 3; ++lat) {
+                    if (lat <= sb.maxEncodableLatency())
+                        sb.setProducer(reg, lat);
+                    else
+                        sb.setLongLatencyProducer(reg, now + lat);
+                    const bool encoded = lat <= reach;
+                    const uint32_t head = encoded ? 0 : lat;
+                    const auto real = mechanism::buildReadyPattern(
+                        bits, encoded ? lat : 0, bypass, n);
+                    const auto shadow = mechanism::buildBaselinePattern(
+                        bits, encoded ? lat : 0);
+                    for (uint64_t age = 0; age <= lat + bits; ++age) {
+                        const bool wantReal =
+                            age >= head &&
+                            readyAfter(real, bits, age - head);
+                        const bool wantShadow =
+                            age >= head &&
+                            readyAfter(shadow, bits, age - head);
+                        if (firstMismatch.empty() &&
+                            (sb.isReady(reg) != wantReal ||
+                             sb.isReadyShadow(reg) != wantShadow))
+                            firstMismatch =
+                                "B=" + std::to_string(bits) +
+                                " bypass=" + std::to_string(bypass) +
+                                " N=" + std::to_string(n) +
+                                " latency=" + std::to_string(lat) +
+                                " age=" + std::to_string(age);
+                        ++checks;
+                        sb.tick();
+                        ++now;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(firstMismatch, "");
+    EXPECT_GT(checks, 40000u);
+}
+
+TEST(ScoreboardTest, RandomOpsMatchPinnedDigest)
+{
+    // Seeded producers of latency 1-300 on random registers (past
+    // the shift registers' reach too), N changes and per-register
+    // maps between writes, idle advances, on the default core's
+    // scoreboard and on a wider, deeper-bypass one: every read is
+    // folded, so a change to any one moves the digest.
+    Pcg32 rng(32);
+    Fnv1a h;
+    struct Shape
+    {
+        uint32_t bits, bypass, maxN;
+    };
+    for (Shape shape : {Shape{8, 1, 4}, Shape{12, 3, 6}}) {
+        Scoreboard sb(shape.bits, shape.bypass);
+        uint64_t now = 0;
+        for (int i = 0; i < 100000; ++i) {
+            for (uint32_t t = rng.below(3); t > 0; --t) {
+                sb.tick();
+                ++now;
+            }
+            const isa::RegId reg =
+                static_cast<isa::RegId>(rng.below(isa::kNumLogicalRegs));
+            const uint32_t op = rng.below(100);
+            if (op == 0) {
+                sb.setStabilizationCycles(rng.below(shape.maxN + 1));
+            } else if (op == 1) {
+                std::vector<uint32_t> map(isa::kNumLogicalRegs);
+                uint32_t worst = 0;
+                for (uint32_t &n : map) {
+                    n = rng.below(shape.maxN + 1);
+                    worst = std::max(worst, n);
+                }
+                sb.setStabilizationMap(map, worst);
+            } else if (op == 2) {
+                const uint32_t idle = rng.below(400);
+                sb.advance(idle);
+                now += idle;
+            } else if (op < 30) {
+                const uint32_t lat = rng.below(8) == 0
+                                         ? 1 + rng.below(300)
+                                         : 1 + rng.below(10);
+                if (lat <= sb.maxEncodableLatency())
+                    sb.setProducer(reg, lat);
+                else
+                    sb.setLongLatencyProducer(reg, now + lat);
+            } else {
+                h.add(sb.isReady(reg), 1);
+                h.add(sb.isReadyShadow(reg), 1);
+            }
+        }
+    }
+    EXPECT_EQ(h.value(), 0x961b042de29f7ebfULL) << std::hex << "0x" << h.value();
 }
 
 /** Property: under any N, a consumer that waits long enough always
