@@ -38,7 +38,7 @@ Pipeline::Pipeline(const CoreConfig &cfg,
                    memory::MemoryHierarchy &hierarchy,
                    trace::ReplayTraceSource &source)
     : _cfg(cfg), _mem(hierarchy), _trace(source),
-      _scoreboard(cfg.scoreboardBits, cfg.bypassLevels),
+      _scoreboard(cfg.bypassLevels),
       _iq(cfg.iqEntries), _units(cfg),
       _gate(cfg.iqEntries, cfg.issueWidth, cfg.fetchWidth),
       _stable(cfg.commitStoresPerCycle * cfg.maxStabilizationCycles,
@@ -97,7 +97,7 @@ Pipeline::applyStabilizationMaps(
             "sized for %u — this chip does not operate here",
             _n, _cfg.maxStabilizationCycles);
     _scoreboard.setStabilizationMap(
-        maps->of(variation::StructureId::RegisterFile), maps->worst);
+        maps->of(variation::StructureId::RegisterFile));
     _gate.setStabilizationCycles(_n);
     _stable.setActiveEntries(_n * _cfg.commitStoresPerCycle);
     _bpCorruption.setStabilizationCycles(_n);
@@ -108,11 +108,11 @@ bool
 Pipeline::sourcesReady(const MicroOp &op, BlockReason &reason) const
 {
     auto check = [this, &reason](isa::RegId reg) {
-        if (_scoreboard.isReady(reg))
+        if (_scoreboard.isReady(reg, _cycle))
             return true;
         // Attribution: ready under conventional operation means the
         // IRAW bubble alone blocks this consumer.
-        reason = (_n > 0 && _scoreboard.isReadyShadow(reg))
+        reason = (_n > 0 && _scoreboard.isReadyShadow(reg, _cycle))
                      ? BlockReason::RfIraw
                      : BlockReason::Raw;
         return false;
@@ -130,11 +130,7 @@ Pipeline::setDestination(isa::RegId dst, uint32_t latency)
     // Every latency is at least 1, so a write never completes in
     // the cycle it issues.
     const Cycle done = _cycle + latency;
-    if (latency <= _scoreboard.maxEncodableLatency())
-        _scoreboard.setProducer(dst, latency);
-    else
-        _scoreboard.setLongLatencyProducer(dst, done);
-    _writeDoneAt[dst] = done;
+    _scoreboard.setProducer(dst, done, _cycle);
     _lastWriteDone = std::max(_lastWriteDone, done);
 }
 
@@ -217,7 +213,7 @@ Pipeline::tryIssue(IqEntry &entry, bool &issued)
         return reason;
 
     // WAW: a previous in-flight writer of the destination.
-    if (op.hasDst() && _writeDoneAt[op.dst] > _cycle)
+    if (op.hasDst() && _scoreboard.writePending(op.dst, _cycle))
         return BlockReason::Waw;
 
     if (!_units.canIssue(op.opClass, _cycle))
@@ -466,7 +462,6 @@ void
 Pipeline::tick()
 {
     ++_cycle;
-    _scoreboard.tick();
     _units.newCycle();
     issueStage();
     fetchStage();
@@ -543,17 +538,13 @@ Pipeline::advanceIdleCycles(uint64_t cycles)
 {
     panicIf(!quiescedForSwitch(),
             "Pipeline: advanceIdleCycles needs a drained pipeline");
+    // Registers keep stabilizing while the core idles.  Every window
+    // is held in absolute cycles (scoreboard, guards, STable, exec
+    // units, corruption trackers), so it runs on across the jump: a
+    // long settle expires it, and a short one leaves exactly the
+    // cycles still due — a free switch may not skip stabilization the
+    // Eq. (1) rules would have stalled on.
     _cycle += cycles;
-    // Registers keep stabilizing while the core idles: shift the
-    // scoreboard through the settle window.  A window at least as
-    // wide as the shift registers reaches the all-ready state (every
-    // producer pattern ends in trailing ones); a short window shifts
-    // cycle-for-cycle — a free switch may not skip stabilization the
-    // Eq. (1) rules would have stalled on.  The lazy scoreboard
-    // handles both with one clock jump.  Every absolute-cycle window
-    // (guards, STable, exec units, corruption trackers) simply
-    // expires across the jump.
-    _scoreboard.advance(cycles);
     _currentFetchLine = ~0ULL;
     _stats.cycles = _cycle;
 }

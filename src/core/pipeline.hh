@@ -12,18 +12,17 @@
  *  - BP/RSB: unprotected, with conflict tracking and optional
  *         determinism stalls or corruption injection (Sec. 4.5).
  *
- * The pipeline is trace-driven and cycle-driven: each tick runs
- * (in order) scoreboard shift, issue, fetch/allocate.  Allocation
+ * The pipeline is trace-driven and cycle-driven: each tick advances
+ * the cycle, then runs issue and fetch/allocate.  Allocation
  * runs after issue, which enforces the 1-cycle minimum between IQ
  * write and IQ read.  Register writes complete lazily: issue records
- * each destination's completion cycle, and the scoreboard and the
- * WAW check compare it with the current cycle.
+ * each destination's arrival cycle in the scoreboard, which answers
+ * the RAW, IRAW and WAW checks against the current cycle.
  */
 
 #ifndef IRAW_CORE_PIPELINE_HH
 #define IRAW_CORE_PIPELINE_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -174,8 +173,8 @@ class Pipeline
      * Apply an operating point (Sec. 4.1.3 reconfiguration): sets N
      * on the scoreboard, IQ gate, STable, hierarchy guards and the
      * prediction-block trackers.  Requires no register write in
-     * flight (a fresh or drained pipeline): a long-latency write's
-     * completion pattern was fixed at issue with the old N.
+     * flight (a fresh or drained pipeline): a write's stabilization
+     * cycle was fixed at issue with the old N.
      */
     void applySettings(const mechanism::IrawSettings &settings);
 
@@ -233,7 +232,6 @@ class Pipeline
     memory::Cycle currentCycle() const { return _cycle; }
 
     const PipelineStats &stats() const { return _stats; }
-    const Scoreboard &scoreboard() const { return _scoreboard; }
     const mechanism::StoreTable &storeTable() const { return _stable; }
     const predictor::InlinePredictor &branchPredictor() const
     {
@@ -312,10 +310,8 @@ class Pipeline
     uint32_t _issueThrottle = 0; //!< effective issue width
     uint64_t _instBudget = 0; //!< run() stops exactly at this count
 
-    // Write completion: the cycle each register's last issued write
-    // completes (the WAW check allows one in flight per register),
-    // and the latest of them all (the drain's quiescence test).
-    std::array<memory::Cycle, isa::kNumLogicalRegs> _writeDoneAt{};
+    /** The cycle the last of all issued register writes completes
+     *  (the drain's quiescence test). */
     memory::Cycle _lastWriteDone = 0;
 
     // Frontend state.  _peek is the prefetched micro-op: a pointer

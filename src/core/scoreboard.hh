@@ -3,33 +3,44 @@
  * The centralized register scoreboard (paper Sec. 4.1.1, Figure 6),
  * extended with the IRAW bits of Sec. 4.1.2 (Figure 8).
  *
- * One shift register per logical register.  Each cycle every shift
- * register shifts left one position, replicating its LSB; the MSB
- * says "a consumer of this register may issue now".
+ * The hardware keeps one B-bit shift register per logical register,
+ * set by each producer to L zeros (its latency), as many ones as
+ * there are bypass levels, N zeros (the IRAW bubble) and ones, and
+ * shifted left every cycle; the MSB says "a consumer may issue now".
+ * Three cycles fix that sequence, so the model keeps two per
+ * register: the cycle the value arrives (issue + L) and the cycle
+ * the register file entry is stable (arrival + bypass + N, or the
+ * arrival itself when N = 0).  A consumer may issue from the arrival
+ * until the bypass window closes, and again from the stable cycle
+ * on.  mechanism::buildReadyPattern() remains the bit-level
+ * specification; ScoreboardTest.MatchesFigure8Patterns checks every
+ * read against it.
  *
- * The software model evaluates the shift lazily: each register
- * stores the pattern as initialized by its producer plus the cycle
- * it was set, and a read derives "the pattern after (now - setCycle)
- * shifts" with one shift-and-mask.  That makes tick() O(1) — a
- * single clock increment for the whole scoreboard — instead of a
- * walk over every in-flight register per cycle, while every read is
- * bit-for-bit what the eagerly shifted hardware register would hold.
+ * A producer longer than the shift registers reach (a divide, a load
+ * miss) is set the same way: the hardware's event-driven wakeup
+ * writes the latency-0 pattern when the value arrives, which reads
+ * exactly as the closed form.
  *
- * The scoreboard also maintains a *shadow* copy running the
- * conventional (IRAW-off) patterns.  The shadow changes no issue
- * decision; it exists so the simulator can attribute a blocked issue
- * to the IRAW bubble specifically (ready in the shadow, not ready in
- * the real scoreboard) — the measurement behind the paper's "13.2%
- * of instructions are delayed" and the 8-10% stall breakdown.
+ * The scoreboard also answers the *shadow* query: would the register
+ * be ready under conventional (IRAW-off) operation?  The shadow
+ * changes no issue decision; it lets the simulator attribute a
+ * blocked issue to the IRAW bubble specifically (ready in the
+ * shadow, not ready in the real scoreboard) — the measurement behind
+ * the paper's "13.2% of instructions are delayed" and the 8-10%
+ * stall breakdown.
+ *
+ * The scoreboard has no clock of its own: every query takes the
+ * pipeline's current cycle.
  */
 
 #ifndef IRAW_CORE_SCOREBOARD_HH
 #define IRAW_CORE_SCOREBOARD_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "iraw/ready_pattern.hh"
+#include "common/logging.hh"
 #include "isa/registers.hh"
 
 namespace iraw {
@@ -39,18 +50,17 @@ namespace core {
 class Scoreboard
 {
   public:
-    /**
-     * @param bits          shift-register width B
-     * @param bypassLevels  bypass network depth
-     */
-    Scoreboard(uint32_t bits, uint32_t bypassLevels);
+    /** @param bypassLevels bypass network depth */
+    explicit Scoreboard(uint32_t bypassLevels)
+        : _bypassLevels(bypassLevels)
+    {}
 
     /**
      * Reconfigure for a Vcc level (Sec. 4.1.3): number of
-     * stabilization cycles N encoded in newly set patterns.
-     * Patterns already in flight keep their old timing, exactly as
-     * the hardware would behave across a DVFS transition.  Clears
-     * any per-register stabilization map.
+     * stabilization cycles N given to new producers.  Producers
+     * already in flight keep their old timing, exactly as the
+     * hardware would behave across a DVFS transition.  Clears any
+     * per-register stabilization map.
      */
     void
     setStabilizationCycles(uint32_t n)
@@ -58,19 +68,14 @@ class Scoreboard
         _n = n;
         _lineN.clear();
     }
-    uint32_t stabilizationCycles() const { return _n; }
 
     /**
      * Process-variation mode: one stabilization count per register
-     * (a ChipSample's RF map).  Newly set producer patterns encode
-     * the destination register's own N; @p worst (the map maximum)
-     * becomes the configured N for capacity accounting
-     * (maxEncodableLatency).  An empty map returns to uniform
-     * operation.  A map whose entries all equal the uniform N is
-     * bitwise identical to uniform operation.
+     * (a ChipSample's RF map); new producers take their destination
+     * register's own N.  A map whose entries all equal the uniform
+     * N is bitwise identical to uniform operation.
      */
-    void setStabilizationMap(const std::vector<uint32_t> &perRegN,
-                             uint32_t worst);
+    void setStabilizationMap(const std::vector<uint32_t> &perRegN);
 
     /** Stabilization count applied to producers of @p reg. */
     uint32_t
@@ -79,113 +84,49 @@ class Scoreboard
         return _lineN.empty() ? _n : _lineN[reg];
     }
 
-    /** Shift every register one position (call once per cycle). */
-    void tick() { ++_now; }
-
-    /**
-     * Shift every register @p cycles positions at once (idle
-     * windows, e.g. a Vcc-switch settle).  Equivalent to calling
-     * tick() @p cycles times.
-     */
-    void advance(uint64_t cycles) { _now += cycles; }
-
-    /** May a consumer of @p reg issue this cycle? */
-    bool isReady(isa::RegId reg) const;
+    /** May a consumer of @p reg issue in cycle @p now? */
+    bool isReady(isa::RegId reg, uint64_t now) const;
 
     /** Would it be ready if IRAW avoidance were off? (attribution) */
-    bool isReadyShadow(isa::RegId reg) const;
+    bool isReadyShadow(isa::RegId reg, uint64_t now) const;
 
-    /**
-     * A producer of @p reg issued with execution latency
-     * @p latency <= B-1.  Initializes the Figure 8 pattern.
-     */
-    void setProducer(isa::RegId reg, uint32_t latency);
-
-    /**
-     * A producer whose latency exceeds maxEncodableLatency() issued
-     * (divide, load miss); its value is available at
-     * @p readyCycle, on the clock tick() and advance() drive.  The
-     * register reads not-ready until then, and from then on as a
-     * single-cycle producer completing that cycle (bypass ones, N
-     * zeros, trailing ones).  N is the one in force now: the
-     * pipeline reconfigures only with no write in flight.
-     */
-    void setLongLatencyProducer(isa::RegId reg, uint64_t readyCycle);
-
-    /** True iff no producer is in flight for @p reg. */
-    bool quiescent(isa::RegId reg) const;
-
-    /** Largest producer latency the shift registers can encode
-     *  (IRAW bits plus one trailing ready bit must still fit). */
-    uint32_t
-    maxEncodableLatency() const
+    /** Has the last producer of @p reg not delivered its value by
+     *  cycle @p now?  (The WAW check.) */
+    bool
+    writePending(isa::RegId reg, uint64_t now) const
     {
-        return _bits - 1 - _bypassLevels - _n;
+        return now < at(reg).readyAt;
     }
 
-    uint32_t bits() const { return _bits; }
-    uint32_t bypassLevels() const { return _bypassLevels; }
-
-    /** Raw pattern access for tests/diagnostics: the register's
-     *  current (shifted) contents. */
-    mechanism::ReadyPattern rawPattern(isa::RegId reg) const;
+    /**
+     * A producer of @p reg issued in cycle @p now; its value arrives
+     * in cycle @p readyAt, which must be later than @p now.
+     */
+    void setProducer(isa::RegId reg, uint64_t readyAt, uint64_t now);
 
   private:
-    /** Shifts applied so far to @p reg's stored pattern. */
-    uint64_t
-    age(isa::RegId reg) const
+    struct Reg
     {
-        return _now - _setCycle[reg];
+        uint64_t readyAt = 0;  //!< the value arrives (bypass opens)
+        uint64_t stableAt = 0; //!< the RF entry is stable
+    };
+
+    const Reg &
+    at(isa::RegId reg) const
+    {
+        panicIf(!isa::isValidReg(reg), "Scoreboard: bad register %u",
+                reg);
+        return _regs[reg];
     }
 
-    /** A long-latency producer of @p reg has not yet completed: its
-     *  pattern only starts shifting at its ready cycle. */
-    bool
-    awaitingLongLatency(isa::RegId reg) const
-    {
-        return _now < _setCycle[reg];
-    }
-
-    /** The stored pattern's MSB after @p shifts left-shifts (each
-     *  replicating the LSB) — the hardware ready bit.  Bit B-1-k
-     *  for k < B-1; every later cycle reads the replicated LSB. */
-    bool
-    readyAt(mechanism::ReadyPattern p, uint64_t shifts) const
-    {
-        uint32_t bit = shifts < _bits - 1
-                           ? _bits - 1 - static_cast<uint32_t>(shifts)
-                           : 0;
-        return (p >> bit) & 1u;
-    }
-
-    /** The full pattern after @p shifts (diagnostics paths only). */
-    mechanism::ReadyPattern
-    shiftedBy(mechanism::ReadyPattern p, uint64_t shifts) const;
-
-    uint32_t _bits = 0;
     uint32_t _bypassLevels = 0;
     uint32_t _n = 0;
-
-    // Struct-of-arrays register state: parallel per-register arrays
-    // of the as-set real pattern, the as-set shadow pattern, and the
-    // cycle both age from (in the future while a long-latency
-    // producer is in flight).
-    std::vector<mechanism::ReadyPattern> _regs;
-    std::vector<mechanism::ReadyPattern> _shadow;
-    std::vector<uint64_t> _setCycle;
 
     /** Per-register stabilization counts (empty = uniform _n). */
     std::vector<uint32_t> _lineN;
 
-    /** The scoreboard's own clock: total shifts applied so far. */
-    uint64_t _now = 0;
-
-    mechanism::ReadyPattern _ones = 0; //!< the quiescent pattern
-
-    // buildReadyPattern() per producer was measurable in the issue
-    // loop; both pattern families are precomputed once for every
-    // encodable (N, latency), so a change of N rebuilds nothing.
-    mechanism::ReadyPatternLut _lut;
+    /** Every register starts ready and stable. */
+    std::array<Reg, isa::kNumLogicalRegs> _regs{};
 };
 
 } // namespace core

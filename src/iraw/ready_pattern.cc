@@ -38,35 +38,6 @@ buildReadyPattern(uint32_t bits, uint32_t latency,
     return p;
 }
 
-void
-ReadyPatternLut::build(uint32_t bits, uint32_t bypassLevels)
-{
-    fatalIf(bits < 2 || bits > kMaxPatternBits,
-            "ReadyPatternLut: width %u outside [2, %u]", bits,
-            kMaxPatternBits);
-    _bits = bits;
-    _bypassLevels = bypassLevels;
-
-    for (uint32_t n = 0; n < kMaxPatternBits; ++n) {
-        _producerLen[n] = 0;
-        if (bypassLevels + n >= bits)
-            continue; // no encodable latency at this N
-        uint32_t maxLatency = bits - 1 - bypassLevels - n;
-        for (uint32_t latency = 0; latency <= maxLatency; ++latency)
-            _producer[n][latency] =
-                buildReadyPattern(bits, latency, bypassLevels, n);
-        _producerLen[n] = static_cast<uint8_t>(maxLatency + 1);
-    }
-
-    _baselineLen = 0;
-    if (bypassLevels + 1 < bits) {
-        uint32_t maxLatency = bits - 1 - bypassLevels;
-        for (uint32_t latency = 0; latency <= maxLatency; ++latency)
-            _baseline[latency] = buildBaselinePattern(bits, latency);
-        _baselineLen = static_cast<uint8_t>(maxLatency + 1);
-    }
-}
-
 std::string
 patternToString(ReadyPattern p, uint32_t bits)
 {

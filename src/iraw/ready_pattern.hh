@@ -86,62 +86,6 @@ patternQuiescent(ReadyPattern p, uint32_t bits)
 /** Render as a bit string, MSB first (for diagnostics/tests). */
 std::string patternToString(ReadyPattern p, uint32_t bits);
 
-/**
- * Precomputed pattern tables for every encodable (stabilization,
- * latency) pair.
- *
- * The nominal machine needs one table per latency at the single
- * per-Vcc N; under process variation each register carries its own
- * per-line N (a line of the RF stabilization map), so producers
- * look their pattern up by (N, latency).  Building a pattern per
- * issue was measurable in the issue loop — this keeps the mapped
- * path as cheap as the uniform one.
- */
-class ReadyPatternLut
-{
-  public:
-    ReadyPatternLut() = default;
-
-    /**
-     * Build tables for every stabilization count and every latency
-     * it can encode (latency + bypassLevels + N < bits).  Counts
-     * that leave no encodable latency get an empty row; producer()
-     * then reports the misconfiguration through buildReadyPattern's
-     * own check.
-     */
-    void build(uint32_t bits, uint32_t bypassLevels);
-
-    /** Producer pattern for (stabilization @p n, @p latency). */
-    ReadyPattern
-    producer(uint32_t n, uint32_t latency) const
-    {
-        if (n < kMaxPatternBits && latency < _producerLen[n])
-            return _producer[n][latency];
-        // Degenerate configuration: take the checked slow path so
-        // the misconfiguration is reported, not masked.
-        return buildReadyPattern(_bits, latency, _bypassLevels, n);
-    }
-
-    /** Conventional (IRAW-off) pattern for @p latency. */
-    ReadyPattern
-    baseline(uint32_t latency) const
-    {
-        if (latency < _baselineLen)
-            return _baseline[latency];
-        return buildBaselinePattern(_bits, latency);
-    }
-
-  private:
-    // An encodable pattern has fewer than kMaxPatternBits latency
-    // and stabilization bits, so a fixed table holds every row.
-    uint32_t _bits = 0;
-    uint32_t _bypassLevels = 0;
-    uint8_t _producerLen[kMaxPatternBits] = {}; //!< latencies per n
-    uint8_t _baselineLen = 0;
-    ReadyPattern _producer[kMaxPatternBits][kMaxPatternBits] = {};
-    ReadyPattern _baseline[kMaxPatternBits] = {};
-};
-
 } // namespace mechanism
 } // namespace iraw
 

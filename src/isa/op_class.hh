@@ -61,11 +61,7 @@ isFpOp(OpClass c)
            c == OpClass::FpDiv;
 }
 
-/**
- * Execution latencies per op class, plus the long-latency threshold
- * used by the scoreboard (Sec. 4.1.1: shift registers of B bits track
- * latencies up to B-1; longer producers use event-driven wakeup).
- */
+/** Execution latencies per op class. */
 class LatencyTable
 {
   public:
@@ -80,15 +76,6 @@ class LatencyTable
 
     /** Override a latency (for design-space exploration). */
     void setLatency(OpClass c, uint32_t cycles);
-
-    /**
-     * True if @p c exceeds the scoreboard's shift-register reach and
-     * must use event-driven wakeup (e.g., divides and load misses).
-     */
-    bool isLongLatency(OpClass c, uint32_t scoreboardBits) const
-    {
-        return latency(c) > scoreboardBits - 1;
-    }
 
     /** Largest latency of any op class. */
     uint32_t maxLatency() const;

@@ -42,17 +42,6 @@ TEST(LatencyTableTest, Defaults)
               t.latency(OpClass::FpMul));
 }
 
-TEST(LatencyTableTest, LongLatencyClassification)
-{
-    LatencyTable t;
-    // With an 8-bit scoreboard (reach 7), divides are long-latency
-    // and ALU ops are not.
-    EXPECT_TRUE(t.isLongLatency(OpClass::IntDiv, 8));
-    EXPECT_TRUE(t.isLongLatency(OpClass::FpDiv, 8));
-    EXPECT_FALSE(t.isLongLatency(OpClass::IntAlu, 8));
-    EXPECT_FALSE(t.isLongLatency(OpClass::Load, 8));
-}
-
 TEST(LatencyTableTest, Overrides)
 {
     LatencyTable t;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "core/core_config.hh"
 #include "core/scoreboard.hh"
 #include "fnv1a.hh"
+#include "iraw/ready_pattern.hh"
 
 namespace iraw {
 namespace core {
@@ -18,145 +18,103 @@ namespace {
 
 TEST(ScoreboardTest, FreshRegistersReady)
 {
-    Scoreboard sb(8, 1);
+    Scoreboard sb(1);
     for (isa::RegId r = 0; r < isa::kNumLogicalRegs; ++r) {
-        EXPECT_TRUE(sb.isReady(r));
-        EXPECT_TRUE(sb.quiescent(r));
+        EXPECT_TRUE(sb.isReady(r, 0));
+        EXPECT_TRUE(sb.isReadyShadow(r, 0));
+        EXPECT_FALSE(sb.writePending(r, 0));
     }
 }
 
 TEST(ScoreboardTest, BaselineProducerTiming)
 {
-    Scoreboard sb(8, 1);
+    Scoreboard sb(1);
     sb.setStabilizationCycles(0);
-    sb.setProducer(3, 3); // 3-cycle producer
-    EXPECT_FALSE(sb.isReady(3));
-    sb.tick();
-    EXPECT_FALSE(sb.isReady(3));
-    sb.tick();
-    EXPECT_FALSE(sb.isReady(3));
-    sb.tick();
-    EXPECT_TRUE(sb.isReady(3)) << "ready at latency via bypass";
-    sb.tick();
-    EXPECT_TRUE(sb.isReady(3));
+    sb.setProducer(3, 3, 0); // 3-cycle producer
+    EXPECT_FALSE(sb.isReady(3, 0));
+    EXPECT_FALSE(sb.isReady(3, 1));
+    EXPECT_FALSE(sb.isReady(3, 2));
+    EXPECT_TRUE(sb.isReady(3, 3)) << "ready at latency via bypass";
+    EXPECT_TRUE(sb.isReady(3, 4));
 }
 
 TEST(ScoreboardTest, IrawProducerHasBubble)
 {
-    Scoreboard sb(8, 1);
+    Scoreboard sb(1);
     sb.setStabilizationCycles(1);
-    sb.setProducer(3, 3);
+    sb.setProducer(3, 3, 0);
     // Cycle-by-cycle (Figure 8): not ready x3, bypass, bubble, then
     // ready forever.
     std::vector<bool> expected = {false, false, false, true,
                                   false, true,  true};
-    for (size_t c = 0; c < expected.size(); ++c) {
-        EXPECT_EQ(sb.isReady(3), expected[c]) << "cycle " << c;
-        sb.tick();
-    }
+    for (uint64_t c = 0; c < expected.size(); ++c)
+        EXPECT_EQ(sb.isReady(3, c), expected[c]) << "cycle " << c;
 }
 
 TEST(ScoreboardTest, ShadowTracksBaselineView)
 {
-    Scoreboard sb(8, 1);
+    Scoreboard sb(1);
     sb.setStabilizationCycles(1);
-    sb.setProducer(3, 1);
-    sb.tick();
-    EXPECT_TRUE(sb.isReady(3));      // bypass cycle
-    EXPECT_TRUE(sb.isReadyShadow(3));
-    sb.tick();
+    sb.setProducer(3, 1, 0);
+    EXPECT_TRUE(sb.isReady(3, 1));      // bypass cycle
+    EXPECT_TRUE(sb.isReadyShadow(3, 1));
     // The IRAW bubble: blocked in reality, open in the shadow —
     // exactly the condition the 13.2% statistic counts.
-    EXPECT_FALSE(sb.isReady(3));
-    EXPECT_TRUE(sb.isReadyShadow(3));
-    sb.tick();
-    EXPECT_TRUE(sb.isReady(3));
+    EXPECT_FALSE(sb.isReady(3, 2));
+    EXPECT_TRUE(sb.isReadyShadow(3, 2));
+    EXPECT_TRUE(sb.isReady(3, 3));
 }
 
 TEST(ScoreboardTest, LongLatencyEventWakeup)
 {
-    Scoreboard sb(8, 1);
+    // Past the shift registers' reach the value wakes its consumers
+    // on arrival, then the register stabilizes like any other.
+    Scoreboard sb(1);
     sb.setStabilizationCycles(1);
-    sb.setLongLatencyProducer(5, 20);
-    for (int i = 0; i < 20; ++i) {
-        EXPECT_FALSE(sb.isReady(5));
-        EXPECT_FALSE(sb.isReadyShadow(5));
-        EXPECT_FALSE(sb.quiescent(5));
-        EXPECT_EQ(sb.rawPattern(5), 0u);
-        sb.tick();
+    sb.setProducer(5, 20, 0);
+    for (uint64_t c = 0; c < 20; ++c) {
+        EXPECT_FALSE(sb.isReady(5, c));
+        EXPECT_FALSE(sb.isReadyShadow(5, c));
+        EXPECT_TRUE(sb.writePending(5, c));
     }
-    EXPECT_TRUE(sb.isReady(5)) << "bypass on completion";
-    sb.tick();
-    EXPECT_FALSE(sb.isReady(5)) << "stabilization bubble";
-    EXPECT_TRUE(sb.isReadyShadow(5));
-    sb.tick();
-    EXPECT_TRUE(sb.isReady(5));
+    EXPECT_TRUE(sb.isReady(5, 20)) << "bypass on completion";
+    EXPECT_FALSE(sb.writePending(5, 20));
+    EXPECT_FALSE(sb.isReady(5, 21)) << "stabilization bubble";
+    EXPECT_TRUE(sb.isReadyShadow(5, 21));
+    EXPECT_TRUE(sb.isReady(5, 22));
 }
 
-TEST(ScoreboardTest, LongLatencyWakeupSurvivesAdvance)
+TEST(ScoreboardTest, ProducerMustArriveAfterIssue)
 {
-    Scoreboard sb(8, 1);
-    sb.setStabilizationCycles(1);
-    sb.setLongLatencyProducer(5, 20);
-    sb.advance(19);
-    EXPECT_FALSE(sb.isReady(5));
-    sb.advance(1);
-    EXPECT_TRUE(sb.isReady(5)) << "bypass on completion";
-    sb.advance(1);
-    EXPECT_FALSE(sb.isReady(5)) << "stabilization bubble";
-}
-
-TEST(ScoreboardTest, LongLatencyReadyCycleMustBeInTheFuture)
-{
-    Scoreboard sb(8, 1);
-    EXPECT_THROW(sb.setLongLatencyProducer(2, 0), PanicError);
-    sb.tick();
-    sb.tick();
-    EXPECT_THROW(sb.setLongLatencyProducer(2, 2), PanicError);
-    EXPECT_NO_THROW(sb.setLongLatencyProducer(2, 3));
-}
-
-TEST(ScoreboardTest, MaxEncodableLatencyRespectsIrawBits)
-{
-    Scoreboard sb(8, 1);
-    sb.setStabilizationCycles(0);
-    EXPECT_EQ(sb.maxEncodableLatency(), 6u);
-    sb.setStabilizationCycles(1);
-    EXPECT_EQ(sb.maxEncodableLatency(), 5u);
-    EXPECT_NO_THROW(sb.setProducer(1, 5));
-    EXPECT_THROW(sb.setProducer(1, 6), PanicError);
+    Scoreboard sb(1);
+    EXPECT_THROW(sb.setProducer(2, 0, 0), PanicError);
+    EXPECT_THROW(sb.setProducer(2, 1, 2), PanicError);
+    EXPECT_THROW(sb.setProducer(2, 2, 2), PanicError);
+    EXPECT_NO_THROW(sb.setProducer(2, 3, 2));
 }
 
 TEST(ScoreboardTest, ReconfigurationAffectsOnlyNewProducers)
 {
-    Scoreboard sb(8, 1);
+    Scoreboard sb(1);
     sb.setStabilizationCycles(1);
-    sb.setProducer(3, 1);
-    // Vcc rises mid-flight: in-flight patterns keep their timing,
+    sb.setProducer(3, 1, 0);
+    // Vcc rises mid-flight: in-flight producers keep their timing,
     // exactly like the hardware shift registers would.
     sb.setStabilizationCycles(0);
-    sb.tick();
-    sb.tick();
-    EXPECT_FALSE(sb.isReady(3)) << "old pattern still has its bubble";
-    sb.setProducer(4, 1);
-    sb.tick();
-    EXPECT_TRUE(sb.isReady(4));
-    sb.tick();
-    EXPECT_TRUE(sb.isReady(4)) << "new producer has no bubble";
+    EXPECT_FALSE(sb.isReady(3, 2)) << "old producer still has its bubble";
+    sb.setProducer(4, 3, 2);
+    EXPECT_TRUE(sb.isReady(4, 3));
+    EXPECT_TRUE(sb.isReady(4, 4)) << "new producer has no bubble";
 }
 
 TEST(ScoreboardTest, InvalidRegisterPanics)
 {
-    Scoreboard sb(8, 1);
-    EXPECT_THROW(sb.isReady(isa::kInvalidReg), PanicError);
-    EXPECT_THROW(sb.setProducer(isa::kNumLogicalRegs, 1),
+    Scoreboard sb(1);
+    EXPECT_THROW(sb.isReady(isa::kInvalidReg, 0), PanicError);
+    EXPECT_THROW(sb.isReadyShadow(isa::kInvalidReg, 0), PanicError);
+    EXPECT_THROW(sb.writePending(isa::kInvalidReg, 0), PanicError);
+    EXPECT_THROW(sb.setProducer(isa::kNumLogicalRegs, 1, 0),
                  PanicError);
-}
-
-TEST(ScoreboardTest, ConstructionValidation)
-{
-    EXPECT_THROW(Scoreboard(3, 1), FatalError);
-    EXPECT_THROW(Scoreboard(8, 7), FatalError);
 }
 
 TEST(CoreConfig, RejectsNarrowScoreboard)
@@ -208,16 +166,13 @@ TEST(ScoreboardTest, MatchesFigure8Patterns)
     for (uint32_t bits : {4u, 8u, 12u, 24u}) {
         for (uint32_t bypass = 1; bypass <= 4 && bypass + 3 <= bits;
              ++bypass) {
-            Scoreboard sb(bits, bypass);
+            Scoreboard sb(bypass);
             uint64_t now = 0;
             for (uint32_t n = 0; bypass + n + 2 <= bits; ++n) {
                 sb.setStabilizationCycles(n);
                 const uint32_t reach = bits - 1 - bypass - n;
                 for (uint32_t lat = 1; lat <= reach + 3; ++lat) {
-                    if (lat <= sb.maxEncodableLatency())
-                        sb.setProducer(reg, lat);
-                    else
-                        sb.setLongLatencyProducer(reg, now + lat);
+                    sb.setProducer(reg, now + lat, now);
                     const bool encoded = lat <= reach;
                     const uint32_t head = encoded ? 0 : lat;
                     const auto real = mechanism::buildReadyPattern(
@@ -232,8 +187,8 @@ TEST(ScoreboardTest, MatchesFigure8Patterns)
                             age >= head &&
                             readyAfter(shadow, bits, age - head);
                         if (firstMismatch.empty() &&
-                            (sb.isReady(reg) != wantReal ||
-                             sb.isReadyShadow(reg) != wantShadow))
+                            (sb.isReady(reg, now) != wantReal ||
+                             sb.isReadyShadow(reg, now) != wantShadow))
                             firstMismatch =
                                 "B=" + std::to_string(bits) +
                                 " bypass=" + std::to_string(bypass) +
@@ -241,7 +196,6 @@ TEST(ScoreboardTest, MatchesFigure8Patterns)
                                 " latency=" + std::to_string(lat) +
                                 " age=" + std::to_string(age);
                         ++checks;
-                        sb.tick();
                         ++now;
                     }
                 }
@@ -256,23 +210,20 @@ TEST(ScoreboardTest, RandomOpsMatchPinnedDigest)
 {
     // Seeded producers of latency 1-300 on random registers (past
     // the shift registers' reach too), N changes and per-register
-    // maps between writes, idle advances, on the default core's
-    // scoreboard and on a wider, deeper-bypass one: every read is
-    // folded, so a change to any one moves the digest.
+    // maps between writes, idle advances, with one bypass level (the
+    // default core) and with three: every read is folded, so a
+    // change to any one moves the digest.
     Pcg32 rng(32);
     Fnv1a h;
     struct Shape
     {
-        uint32_t bits, bypass, maxN;
+        uint32_t bypass, maxN;
     };
-    for (Shape shape : {Shape{8, 1, 4}, Shape{12, 3, 6}}) {
-        Scoreboard sb(shape.bits, shape.bypass);
+    for (Shape shape : {Shape{1, 4}, Shape{3, 6}}) {
+        Scoreboard sb(shape.bypass);
         uint64_t now = 0;
         for (int i = 0; i < 100000; ++i) {
-            for (uint32_t t = rng.below(3); t > 0; --t) {
-                sb.tick();
-                ++now;
-            }
+            now += rng.below(3);
             const isa::RegId reg =
                 static_cast<isa::RegId>(rng.below(isa::kNumLogicalRegs));
             const uint32_t op = rng.below(100);
@@ -280,27 +231,19 @@ TEST(ScoreboardTest, RandomOpsMatchPinnedDigest)
                 sb.setStabilizationCycles(rng.below(shape.maxN + 1));
             } else if (op == 1) {
                 std::vector<uint32_t> map(isa::kNumLogicalRegs);
-                uint32_t worst = 0;
-                for (uint32_t &n : map) {
+                for (uint32_t &n : map)
                     n = rng.below(shape.maxN + 1);
-                    worst = std::max(worst, n);
-                }
-                sb.setStabilizationMap(map, worst);
+                sb.setStabilizationMap(map);
             } else if (op == 2) {
-                const uint32_t idle = rng.below(400);
-                sb.advance(idle);
-                now += idle;
+                now += rng.below(400);
             } else if (op < 30) {
                 const uint32_t lat = rng.below(8) == 0
                                          ? 1 + rng.below(300)
                                          : 1 + rng.below(10);
-                if (lat <= sb.maxEncodableLatency())
-                    sb.setProducer(reg, lat);
-                else
-                    sb.setLongLatencyProducer(reg, now + lat);
+                sb.setProducer(reg, now + lat, now);
             } else {
-                h.add(sb.isReady(reg), 1);
-                h.add(sb.isReadyShadow(reg), 1);
+                h.add(sb.isReady(reg, now), 1);
+                h.add(sb.isReadyShadow(reg, now), 1);
             }
         }
     }
@@ -316,13 +259,13 @@ class ScoreboardN : public ::testing::TestWithParam<uint32_t>
 TEST_P(ScoreboardN, EventualPermanentReadiness)
 {
     uint32_t n = GetParam();
-    Scoreboard sb(12, 1);
+    Scoreboard sb(1);
     sb.setStabilizationCycles(n);
-    sb.setProducer(7, 4);
+    sb.setProducer(7, 4, 0);
     bool sawReady = false;
     uint32_t readySince = 0;
     for (uint32_t c = 0; c < 24; ++c) {
-        bool r = sb.isReady(7);
+        bool r = sb.isReady(7, c);
         if (r && !sawReady) {
             sawReady = true;
         }
@@ -330,7 +273,6 @@ TEST_P(ScoreboardN, EventualPermanentReadiness)
             EXPECT_TRUE(r) << "cycle " << c << " N=" << n;
             ++readySince;
         }
-        sb.tick();
     }
     EXPECT_TRUE(sawReady);
     EXPECT_GT(readySince, 0u);

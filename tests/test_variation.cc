@@ -266,25 +266,24 @@ TEST(IrawPortGuardTest, PerWriteWindowsRespected)
 
 TEST(ScoreboardMapTest, PerRegisterStabilization)
 {
-    core::Scoreboard sb(8, 1);
+    core::Scoreboard sb(1);
     std::vector<uint32_t> map(isa::kNumLogicalRegs, 1);
     map[3] = 3; // one weak register
-    sb.setStabilizationMap(map, 3);
+    sb.setStabilizationMap(map);
     EXPECT_EQ(sb.stabilizationCyclesFor(2), 1u);
     EXPECT_EQ(sb.stabilizationCyclesFor(3), 3u);
 
     // Same-latency producers: the weak register's consumers see a
     // longer bubble after the bypass window closes.  The number of
-    // not-ready cycles over the pattern's lifetime is exactly the
-    // register's stabilization count (latency 1 is hidden by the
-    // first shift, the bypass 1 covers the completion cycle).
-    sb.setProducer(2, 1);
-    sb.setProducer(3, 1);
+    // not-ready cycles after the value arrives is exactly the
+    // register's stabilization count (the bypass 1 covers the
+    // arrival cycle).
+    sb.setProducer(2, 1, 0);
+    sb.setProducer(3, 1, 0);
     int bubble2 = 0, bubble3 = 0;
-    for (int cycle = 1; cycle <= 8; ++cycle) {
-        sb.tick();
-        bubble2 += sb.isReady(2) ? 0 : 1;
-        bubble3 += sb.isReady(3) ? 0 : 1;
+    for (uint64_t cycle = 1; cycle <= 8; ++cycle) {
+        bubble2 += sb.isReady(2, cycle) ? 0 : 1;
+        bubble3 += sb.isReady(3, cycle) ? 0 : 1;
     }
     EXPECT_EQ(bubble2, 1); // N=1
     EXPECT_EQ(bubble3, 3); // N=3
@@ -292,16 +291,21 @@ TEST(ScoreboardMapTest, PerRegisterStabilization)
 
 TEST(ScoreboardMapTest, AllNominalMapMatchesUniform)
 {
-    core::Scoreboard uniform(8, 1);
+    core::Scoreboard uniform(1);
     uniform.setStabilizationCycles(2);
-    core::Scoreboard mapped(8, 1);
+    core::Scoreboard mapped(1);
     mapped.setStabilizationMap(
-        std::vector<uint32_t>(isa::kNumLogicalRegs, 2), 2);
-    for (uint32_t latency = 0; latency <= 2; ++latency) {
-        uniform.setProducer(5, latency);
-        mapped.setProducer(5, latency);
-        EXPECT_EQ(uniform.rawPattern(5), mapped.rawPattern(5))
-            << "latency " << latency;
+        std::vector<uint32_t>(isa::kNumLogicalRegs, 2));
+    uint64_t now = 0;
+    for (uint32_t latency = 1; latency <= 20; ++latency) {
+        uniform.setProducer(5, now + latency, now);
+        mapped.setProducer(5, now + latency, now);
+        for (const uint64_t end = now + latency + 4; now < end; ++now) {
+            EXPECT_EQ(uniform.isReady(5, now), mapped.isReady(5, now))
+                << "latency " << latency << " cycle " << now;
+            EXPECT_EQ(uniform.isReadyShadow(5, now),
+                      mapped.isReadyShadow(5, now));
+        }
     }
 }
 
