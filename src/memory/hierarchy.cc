@@ -10,6 +10,20 @@ namespace memory {
 
 using variation::StructureId;
 
+namespace {
+
+/** The cycle an access at @p cycle may use @p guard's block; the
+ *  stall is charged to @p res. */
+Cycle
+waitFor(IrawPortGuard &guard, Cycle cycle, MemAccessResult &res)
+{
+    const Cycle granted = guard.resolve(cycle);
+    res.irawStallCycles += granted - cycle;
+    return granted;
+}
+
+} // namespace
+
 MemoryHierarchy::MemoryHierarchy(const MemoryConfig &cfg)
     : _cfg(cfg), _il0(cfg.il0), _dl0(cfg.dl0), _ul1(cfg.ul1),
       _itlb(cfg.itlb), _dtlb(cfg.dtlb), _fb("fb", cfg.fbEntries),
@@ -71,15 +85,31 @@ MemoryHierarchy::setStabilizationMaps(
 }
 
 uint32_t
-MemoryHierarchy::mapN(StructureId s, uint32_t frame) const
+MemoryHierarchy::writeN(const IrawPortGuard &guard, StructureId s,
+                        uint32_t frame) const
 {
-    return _maps->of(s)[frame];
+    if (!_maps)
+        return guard.stabilizationCycles();
+    // Entries rotate through the whole small FB, so variation mode
+    // applies its worst-case line count.
+    return s == StructureId::FillBuffer ? _maps->worstOf(s)
+                                        : _maps->of(s)[frame];
 }
 
-uint32_t
-MemoryHierarchy::mapWorst(StructureId s) const
+Cycle
+MemoryHierarchy::translate(Tlb &tlb, IrawPortGuard &guard,
+                           StructureId s, uint64_t addr, Cycle cycle,
+                           MemAccessResult &res)
 {
-    return _maps->worstOf(s);
+    // Guard first: a stabilizing refill blocks the lookup.
+    Cycle when = waitFor(guard, cycle, res);
+    if (!tlb.lookup(addr)) {
+        res.tlbMiss = true;
+        when += tlb.params().missPenalty;
+        const uint32_t slot = tlb.fill(addr);
+        guard.noteWrite(when, writeN(guard, s, slot));
+    }
+    return when;
 }
 
 void
@@ -106,13 +136,11 @@ MemoryHierarchy::retireFills(Cycle cycle)
             IrawPortGuard &guard =
                 fill.toIl0 ? _il0Guard : _dl0Guard;
             Victim victim = l0.fill(fill.lineAddr, fill.dirty);
-            if (_maps)
-                guard.noteWrite(fill.fillCycle,
-                                mapN(fill.toIl0 ? StructureId::Il0
-                                                : StructureId::Dl0,
-                                     victim.frame));
-            else
-                guard.noteWrite(fill.fillCycle);
+            guard.noteWrite(fill.fillCycle,
+                            writeN(guard,
+                                   fill.toIl0 ? StructureId::Il0
+                                              : StructureId::Dl0,
+                                   victim.frame));
             if (victim.valid && victim.dirty)
                 _wcb.push(victim.lineAddr, fill.fillCycle);
         } else {
@@ -124,19 +152,15 @@ MemoryHierarchy::retireFills(Cycle cycle)
 }
 
 Cycle
-MemoryHierarchy::serviceMiss(Cache &l0, IrawPortGuard &l0Guard,
-                             uint64_t lineAddr, Cycle cycle,
+MemoryHierarchy::serviceMiss(Cache &l0, uint64_t lineAddr, Cycle cycle,
                              bool dirtyFill, MemAccessResult &res)
 {
-    (void)l0Guard;
-
     // Victim still draining in the WCB/EB?  Forward from there and
     // reinstall; the WCB is an SRAM block, so its IRAW guard applies.
     if (_wcb.contains(lineAddr)) {
-        Cycle when = cycle;
-        Cycle granted = _fbGuard.resolve(when); // WCB shares FB guard
-        res.irawStallCycles += granted - when;
-        when = granted + _cfg.wcbForwardLatency;
+        // The WCB shares the FB guard.
+        const Cycle when =
+            waitFor(_fbGuard, cycle, res) + _cfg.wcbForwardLatency;
         res.wcbForward = true;
         _pending.push_back({lineAddr, when, &l0 == &_il0, true});
         return when;
@@ -157,14 +181,10 @@ MemoryHierarchy::serviceMiss(Cache &l0, IrawPortGuard &l0Guard,
     }
 
     // The FB itself is written on allocation: IRAW guard.
-    Cycle granted = _fbGuard.resolve(when);
-    res.irawStallCycles += granted - when;
-    when = granted;
+    when = waitFor(_fbGuard, when, res);
 
     // UL1 lookup; a stabilizing UL1 fill stalls this access.
-    Cycle ul1When = _ul1Guard.resolve(when);
-    res.irawStallCycles += ul1When - when;
-    when = ul1When;
+    when = waitFor(_ul1Guard, when, res);
 
     Cycle fillReady = 0;
     if (_ul1.access(lineAddr, false)) {
@@ -174,11 +194,8 @@ MemoryHierarchy::serviceMiss(Cache &l0, IrawPortGuard &l0Guard,
         res.ul1Hit = false;
         fillReady = when + _cfg.ul1HitLatency + _dramCycles;
         Victim v = _ul1.fill(lineAddr, false);
-        if (_maps)
-            _ul1Guard.noteWrite(fillReady,
-                                mapN(StructureId::Ul1, v.frame));
-        else
-            _ul1Guard.noteWrite(fillReady);
+        _ul1Guard.noteWrite(fillReady,
+                            writeN(_ul1Guard, StructureId::Ul1, v.frame));
         if (v.valid && v.dirty)
             _wcb.push(v.lineAddr, fillReady);
     }
@@ -188,13 +205,8 @@ MemoryHierarchy::serviceMiss(Cache &l0, IrawPortGuard &l0Guard,
     _fb.allocate(lineAddr, when, fillReady);
     // The FB's heavy SRAM write is the line data arriving from the
     // next level; the allocation itself only sets a few state bits.
-    // (Entries rotate through the whole small buffer, so variation
-    // mode applies the FB's worst-case line count.)
-    if (_maps)
-        _fbGuard.noteWrite(fillReady,
-                           mapWorst(StructureId::FillBuffer));
-    else
-        _fbGuard.noteWrite(fillReady);
+    _fbGuard.noteWrite(fillReady,
+                       writeN(_fbGuard, StructureId::FillBuffer, 0));
     _pending.push_back(
         {lineAddr, fillReady, &l0 == &_il0, dirtyFill});
     return fillReady;
@@ -205,35 +217,18 @@ MemoryHierarchy::instFetch(uint64_t pc, Cycle cycle)
 {
     retireFills(cycle);
     MemAccessResult res;
-    Cycle when = cycle;
-
-    // ITLB (guard first: a stabilizing refill blocks the lookup).
-    Cycle granted = _itlbGuard.resolve(when);
-    res.irawStallCycles += granted - when;
-    when = granted;
-    if (!_itlb.lookup(pc)) {
-        res.tlbMiss = true;
-        when += _itlb.params().missPenalty;
-        uint32_t slot = _itlb.fill(pc);
-        if (_maps)
-            _itlbGuard.noteWrite(when,
-                                 mapN(StructureId::Itlb, slot));
-        else
-            _itlbGuard.noteWrite(when);
-    }
+    Cycle when =
+        translate(_itlb, _itlbGuard, StructureId::Itlb, pc, cycle, res);
 
     // IL0.
-    granted = _il0Guard.resolve(when);
-    res.irawStallCycles += granted - when;
-    when = granted;
+    when = waitFor(_il0Guard, when, res);
     if (_il0.access(pc, false)) {
         res.l0Hit = true;
         res.readyCycle = when;
         return res;
     }
     res.readyCycle =
-        serviceMiss(_il0, _il0Guard, _il0.lineAddr(pc), when, false,
-                    res);
+        serviceMiss(_il0, _il0.lineAddr(pc), when, false, res);
     return res;
 }
 
@@ -242,29 +237,14 @@ MemoryHierarchy::dataLoad(uint64_t addr, Cycle cycle)
 {
     retireFills(cycle);
     MemAccessResult res;
-    Cycle when = cycle;
-
-    Cycle granted = _dtlbGuard.resolve(when);
-    res.irawStallCycles += granted - when;
-    when = granted;
-    if (!_dtlb.lookup(addr)) {
-        res.tlbMiss = true;
-        when += _dtlb.params().missPenalty;
-        uint32_t slot = _dtlb.fill(addr);
-        if (_maps)
-            _dtlbGuard.noteWrite(when,
-                                 mapN(StructureId::Dtlb, slot));
-        else
-            _dtlbGuard.noteWrite(when);
-    }
+    Cycle when =
+        translate(_dtlb, _dtlbGuard, StructureId::Dtlb, addr, cycle, res);
 
     // DL0 fill-stall guard: a load arriving while a line fill
     // stabilizes must wait (Sec. 4.4: fills are handled like the
     // unfrequently-written blocks; store data is covered by the
     // STable in the core).
-    granted = _dl0Guard.resolve(when);
-    res.irawStallCycles += granted - when;
-    when = granted;
+    when = waitFor(_dl0Guard, when, res);
 
     if (_dl0.access(addr, false)) {
         res.l0Hit = true;
@@ -272,8 +252,7 @@ MemoryHierarchy::dataLoad(uint64_t addr, Cycle cycle)
         return res;
     }
     res.readyCycle =
-        serviceMiss(_dl0, _dl0Guard, _dl0.lineAddr(addr), when, false,
-                    res);
+        serviceMiss(_dl0, _dl0.lineAddr(addr), when, false, res);
     return res;
 }
 
@@ -282,29 +261,14 @@ MemoryHierarchy::dataStore(uint64_t addr, Cycle cycle)
 {
     retireFills(cycle);
     MemAccessResult res;
-    Cycle when = cycle;
-
-    Cycle granted = _dtlbGuard.resolve(when);
-    res.irawStallCycles += granted - when;
-    when = granted;
-    if (!_dtlb.lookup(addr)) {
-        res.tlbMiss = true;
-        when += _dtlb.params().missPenalty;
-        uint32_t slot = _dtlb.fill(addr);
-        if (_maps)
-            _dtlbGuard.noteWrite(when,
-                                 mapN(StructureId::Dtlb, slot));
-        else
-            _dtlbGuard.noteWrite(when);
-    }
+    Cycle when =
+        translate(_dtlb, _dtlbGuard, StructureId::Dtlb, addr, cycle, res);
 
     // Stores must also respect the fill guard: the tag match reads
     // the whole set, and a stabilizing fill's tags could be
     // corrupted.  (Store *data* writes are safe and covered by the
     // STable; they do not arm this guard.)
-    granted = _dl0Guard.resolve(when);
-    res.irawStallCycles += granted - when;
-    when = granted;
+    when = waitFor(_dl0Guard, when, res);
 
     if (_dl0.access(addr, true)) {
         res.l0Hit = true;
@@ -314,10 +278,7 @@ MemoryHierarchy::dataStore(uint64_t addr, Cycle cycle)
 
     // Write-allocate: fetch the line; the store data merges into the
     // fill buffer, so commit is not blocked by the fill itself.
-    Cycle fillReady =
-        serviceMiss(_dl0, _dl0Guard, _dl0.lineAddr(addr), when, true,
-                    res);
-    (void)fillReady;
+    serviceMiss(_dl0, _dl0.lineAddr(addr), when, true, res);
     res.readyCycle = when;
     return res;
 }

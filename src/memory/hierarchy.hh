@@ -133,9 +133,18 @@ class MemoryHierarchy
      * Service an L0 miss for @p lineAddr through FB -> UL1 -> DRAM.
      * Returns the cycle the fill data arrives at the L0.
      */
-    Cycle serviceMiss(Cache &l0, IrawPortGuard &l0Guard,
-                      uint64_t lineAddr, Cycle cycle, bool dirtyFill,
-                      MemAccessResult &res);
+    Cycle serviceMiss(Cache &l0, uint64_t lineAddr, Cycle cycle,
+                      bool dirtyFill, MemAccessResult &res);
+
+    /**
+     * Translate @p addr in @p tlb (block @p s) for an access at
+     * @p cycle: wait out @p guard, and on a miss pay the penalty,
+     * refill and arm the guard.  Returns the cycle the translation
+     * is ready.
+     */
+    Cycle translate(Tlb &tlb, IrawPortGuard &guard,
+                    variation::StructureId s, uint64_t addr,
+                    Cycle cycle, MemAccessResult &res);
 
     /** Install fills whose data has arrived by @p cycle. */
     void retireFills(Cycle cycle);
@@ -156,10 +165,13 @@ class MemoryHierarchy
     IrawPortGuard _dtlbGuard{"dtlb"};
     IrawPortGuard _fbGuard{"fb"};
 
-    /** Stabilization count for a fill into @p frame of @p s. */
-    uint32_t mapN(variation::StructureId s, uint32_t frame) const;
-    /** Worst-case stabilization count of structure @p s. */
-    uint32_t mapWorst(variation::StructureId s) const;
+    /**
+     * Stabilization count for a write into @p frame of block @p s,
+     * guarded by @p guard: the map's entry (its worst entry for the
+     * FB) in variation mode, else the guard's uniform N.
+     */
+    uint32_t writeN(const IrawPortGuard &guard, variation::StructureId s,
+                    uint32_t frame) const;
 
     uint32_t _dramCycles = 160;
 

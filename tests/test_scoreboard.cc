@@ -247,7 +247,8 @@ TEST(ScoreboardTest, RandomOpsMatchPinnedDigest)
             }
         }
     }
-    EXPECT_EQ(h.value(), 0x961b042de29f7ebfULL) << std::hex << "0x" << h.value();
+    EXPECT_EQ(h.value(), 0x961b042de29f7ebfULL)
+        << std::hex << "0x" << h.value();
 }
 
 /** Property: under any N, a consumer that waits long enough always
