@@ -121,7 +121,9 @@ runBpRsb(iraw::sim::ScenarioContext &ctx)
     for (const std::string &w : rsbWorkloads) {
         auto stats = trace::TraceAnalyzer::analyze(
             *bpRsbTrace(ctx, w), kBpRsbTraceOps);
-        rsb.addRow({w, std::to_string(stats.minCallReturnGap)});
+        rsb.addRow({w, stats.minCallReturnGap
+                           ? std::to_string(*stats.minCallReturnGap)
+                           : "none"});
     }
     rsb.addNote("paper: no function executes call->return within "
                 "1-2 cycles, so unprotected RSB entries always "

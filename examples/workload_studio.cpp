@@ -62,7 +62,8 @@ runWorkloadStudio(iraw::sim::ScenarioContext &ctx)
             TextTable::pct(s.takenFraction(), 1),
             TextTable::pct(s.depDistanceCdf(4), 1),
             std::to_string(s.distinctLines),
-            std::to_string(s.minCallReturnGap),
+            s.minCallReturnGap ? std::to_string(*s.minCallReturnGap)
+                               : "none",
         });
     }
     table.addNote("dep<=4: fraction of source operands produced at "

@@ -47,8 +47,6 @@ TraceAnalyzer::analyze(const TraceBuffer &buffer, uint64_t maxInsts)
     std::unordered_set<uint64_t> pcs;
     std::vector<uint64_t> callStack; // dynamic index of each call
     double depSum = 0.0;
-    uint32_t minGap = 0;
-    bool haveGap = false;
 
     const uint64_t n = std::min(maxInsts, buffer.records());
     for (uint64_t i = 0; i < n; ++i) {
@@ -93,10 +91,9 @@ TraceAnalyzer::analyze(const TraceBuffer &buffer, uint64_t maxInsts)
                 auto gap =
                     static_cast<uint32_t>(i - callStack.back());
                 callStack.pop_back();
-                if (!haveGap || gap < minGap) {
-                    minGap = gap;
-                    haveGap = true;
-                }
+                if (!stats.minCallReturnGap ||
+                    gap < *stats.minCallReturnGap)
+                    stats.minCallReturnGap = gap;
             }
         }
         if (isMemOp(op.opClass)) {
@@ -109,7 +106,6 @@ TraceAnalyzer::analyze(const TraceBuffer &buffer, uint64_t maxInsts)
     stats.distinctPcs = pcs.size();
     stats.meanDepDistance =
         stats.depSamples ? depSum / stats.depSamples : 0.0;
-    stats.minCallReturnGap = haveGap ? minGap : 0;
     return stats;
 }
 

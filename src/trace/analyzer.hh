@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "isa/microop.hh"
@@ -51,7 +52,9 @@ struct TraceStats
     /** Call/return pairing depth check results. */
     uint64_t calls = 0;
     uint64_t returns = 0;
-    uint32_t minCallReturnGap = 0; //!< shortest call->return distance
+    /** Shortest call->return distance; empty when no call was
+     *  matched by a return. */
+    std::optional<uint32_t> minCallReturnGap;
 };
 
 class TraceBuffer;

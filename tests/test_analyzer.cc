@@ -78,6 +78,24 @@ TEST(Analyzer, BranchAccounting)
     EXPECT_EQ(stats.distinctPcs, 1u);
 }
 
+TEST(Analyzer, CallReturnGapOnlyWhenAPairIsSeen)
+{
+    // A return with no call before it, then a call left open: no
+    // pair, so no gap (not a gap of 0).
+    std::vector<isa::MicroOp> ops(4);
+    ops[0].opClass = isa::OpClass::Return;
+    ops[1].opClass = isa::OpClass::Call;
+    TraceStats stats = TraceAnalyzer::analyze(bufferOf(ops), 100);
+    EXPECT_EQ(stats.calls, 1u);
+    EXPECT_EQ(stats.returns, 1u);
+    EXPECT_FALSE(stats.minCallReturnGap);
+    // Close the call three ops later.
+    ops[3].opClass = isa::OpClass::Return;
+    stats = TraceAnalyzer::analyze(bufferOf(ops), 100);
+    ASSERT_TRUE(stats.minCallReturnGap);
+    EXPECT_EQ(*stats.minCallReturnGap, 2u);
+}
+
 TEST(Analyzer, MaxInstsLimits)
 {
     TraceBufferPtr trace =

@@ -107,7 +107,8 @@ TEST(Generator, CallsAndReturnsBalance)
     EXPECT_LE(stats.returns, stats.calls);
     EXPECT_GT(stats.returns, stats.calls / 2);
     // Sec. 4.5: no pathologically short functions.
-    EXPECT_GE(stats.minCallReturnGap,
+    ASSERT_TRUE(stats.minCallReturnGap);
+    EXPECT_GE(*stats.minCallReturnGap,
               profileByName("office").minFunctionBody);
 }
 
