@@ -1,6 +1,7 @@
 /**
  * @file
- * Design-space ablations around the IRAW mechanisms (DESIGN.md E10):
+ * Design-space ablations around the IRAW mechanisms, each tied to the
+ * paper claim it probes:
  *
  *  - stabilization-cycle sweep N=1..4 at 400 mV (the paper's
  *    flexibility claim for other technology nodes, Sec. 4.1.3);

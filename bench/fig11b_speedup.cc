@@ -6,8 +6,8 @@
  * independent task on the parallel runner.
  *
  * Paper anchors: frequency +57% and speedup +48% at 500 mV;
- * frequency +99% and speedup +90% at 400 mV (see EXPERIMENTS.md for
- * the measured values and the expected deviation).
+ * frequency +99% and speedup +90% at 400 mV (ROADMAP.md items 3 and
+ * 9 record the measured values and the deviation).
  */
 
 #include <ostream>

@@ -13,7 +13,8 @@ namespace {
 /**
  * Write-delay calibration, phase-normalized a.u. (12-FO4 phase at
  * 700 mV == 1.0), listed at the paper's 25 mV grid from 700 mV down to
- * 400 mV.  See DESIGN.md section 2 for the anchor-point derivation.
+ * 400 mV.  The per-knot comments name the anchor each sample
+ * meets; ROADMAP.md item 9 tabulates the model against the paper.
  */
 const std::vector<MilliVolts> kGrid = {
     700, 675, 650, 625, 600, 575, 550, 525, 500, 475, 450, 425, 400,

@@ -4,7 +4,8 @@
  *
  * The paper's circuit numbers come from an Intel-internal electrical
  * simulator (45 nm, 6-sigma process variation, 80%-swing criterion).
- * We substitute a calibrated empirical model (see DESIGN.md sec. 2):
+ * We substitute a calibrated empirical model (ROADMAP.md item 9
+ * tabulates each anchor against the paper):
  *
  *  - the *write* delay is a monotone super-exponential sampled at
  *    25 mV steps and interpolated monotonically in log space.  The
@@ -44,15 +45,16 @@ class BitcellModel
          * Fraction of the full bitcell write delay that must elapse
          * before the wordline may be deactivated (the cell has flipped
          * past its restoring point and will complete on its own).
-         * This is the paper's "interrupted write" — kappa in
-         * DESIGN.md.
+         * This is the paper's "interrupted write" — kappa, the point
+         * at which CycleTimeModel::irawCycleTime() cuts the write.
          */
         double interruptFraction = 0.42;
 
         /**
          * Self-stabilization time after interruption, as a fraction of
          * the full write delay (the cell finishes its swing without
-         * bitline assistance, hence slower) — lambda in DESIGN.md.
+         * bitline assistance, hence slower) — lambda, from which
+         * CycleTimeModel::stabilizationCycles() derives N.
          */
         double stabilizeFraction = 0.55;
 

@@ -5,9 +5,10 @@
  * The paper evaluates 531 traces drawn from SPEC2006, SPEC2000,
  * kernels, multimedia, office, server and workstation programs.  Those
  * traces are proprietary; we substitute parameterized statistical
- * profiles per category (see DESIGN.md sec. 2).  Each profile fixes an
- * instruction mix, a register dependency-distance distribution, branch
- * behaviour, memory locality and call/return density.
+ * profiles per category.  Each profile fixes an instruction mix, a
+ * register dependency-distance distribution, branch behaviour, memory
+ * locality and call/return density.  ROADMAP.md item 2 measures how
+ * closely the generated traces follow their profiles.
  */
 
 #ifndef IRAW_TRACE_WORKLOAD_HH

@@ -78,7 +78,8 @@ TEST_F(IntegrationTest, SpeedupLargeAtLowVcc)
 {
     // Paper: 48% at 500 mV and 90% at 400 mV.  Our synthetic
     // workloads are somewhat more memory-bound, so we assert the
-    // band rather than the point values (see EXPERIMENTS.md).
+    // band rather than the point values (ROADMAP.md items 3 and 9
+    // record the measured values and the gap).
     EXPECT_GT(at(500).speedup, 1.25);
     EXPECT_GT(at(400).speedup, 1.6);
     EXPECT_LT(at(400).speedup, at(400).frequencyGain);
