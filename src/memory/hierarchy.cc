@@ -96,7 +96,8 @@ MemoryHierarchy::writeN(const IrawPortGuard &guard, StructureId s,
                                         : _maps->of(s)[frame];
 }
 
-Cycle
+// Inlined into its three callers, as the prologues it replaces were.
+inline Cycle
 MemoryHierarchy::translate(Tlb &tlb, IrawPortGuard &guard,
                            StructureId s, uint64_t addr, Cycle cycle,
                            MemAccessResult &res)
